@@ -438,14 +438,19 @@ main()
 
     log.write();
 
-    std::printf("RGAT 1-thread blocked+arena vs seed: %.2fx %s\n",
-                rgat_t1_speedup,
-                rgat_t1_speedup >= 1.3 ? "(meets >= 1.3x)"
-                                       : "(below 1.3x target)");
-    std::printf("RGAT 4-thread vs seed: %.2fx %s\n", rgat_t4_speedup,
-                rgat_t4_speedup >= 2.5
-                    ? "(meets >= 2.5x)"
-                    : "(below 2.5x target; needs >= 4 host cores)");
+    // Advisory lines: the exit code gates bit-identity and the
+    // roofline only, never these speedups.
+    const unsigned cores = std::thread::hardware_concurrency();
+    std::printf("RGAT 1-thread blocked+arena vs seed: %.2fx (target "
+                ">= 1.3x %s; advisory, not gated)\n",
+                rgat_t1_speedup, rgat_t1_speedup >= 1.3 ? "met" : "missed");
+    std::printf("RGAT 4-thread vs seed: %.2fx (target >= 2.5x %s%s; "
+                "advisory, not gated; hardware_concurrency=%u)\n",
+                rgat_t4_speedup, rgat_t4_speedup >= 2.5 ? "met" : "missed",
+                rgat_t4_speedup < 2.5 && cores < 4
+                    ? ", host has < 4 cores"
+                    : "",
+                cores);
     std::printf("bitwise determinism across all configs: %s\n",
                 all_identical ? "PASS" : "FAIL");
     std::printf("roofline SIMD/JIT gates: %s\n",

@@ -356,6 +356,35 @@ atomicConflictFor(const ExecutionContext &ctx, AccessScheme scheme)
 
 } // namespace
 
+ScatterIndex
+buildScatterIndex(const ExecutionContext &ctx, AccessScheme scheme,
+                  RowDomain domain, std::int64_t targets)
+{
+    const std::int64_t rows = ctx.rowsOf(domain);
+    ScatterIndex idx;
+    idx.ptr.assign(static_cast<std::size_t>(targets) + 1, 0);
+    idx.rows.resize(static_cast<std::size_t>(rows));
+    std::vector<std::int64_t> target(static_cast<std::size_t>(rows));
+    for (std::int64_t r = 0; r < rows; ++r) {
+        const std::int64_t v = resolveIndex(ctx, scheme, domain, r);
+        if (v < 0 || v >= targets)
+            throw std::out_of_range("buildScatterIndex: row resolves "
+                                    "outside the target range");
+        target[static_cast<std::size_t>(r)] = v;
+        ++idx.ptr[static_cast<std::size_t>(v) + 1];
+    }
+    for (std::int64_t v = 0; v < targets; ++v)
+        idx.ptr[static_cast<std::size_t>(v) + 1] +=
+            idx.ptr[static_cast<std::size_t>(v)];
+    // Placing rows in ascending r keeps every per-target list sorted.
+    std::vector<std::int64_t> next(idx.ptr.begin(), idx.ptr.end() - 1);
+    for (std::int64_t r = 0; r < rows; ++r)
+        idx.rows[static_cast<std::size_t>(
+            next[static_cast<std::size_t>(
+                target[static_cast<std::size_t>(r)])]++)] = r;
+    return idx;
+}
+
 void
 execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
 {
@@ -453,31 +482,115 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
         }
     };
 
+    /**
+     * Colliding scatter: the thread owning target row v replays v's
+     * rows in ascending r, each over op(W_t) packed for the full k
+     * range. No k-tiling, which would interleave colliding rows; per
+     * output element the contributions arrive in the seed's order.
+     * Chunks split the index's row positions, and a target belongs
+     * to the chunk holding its first row, so work balances by rows.
+     */
+    auto scatterTargets = [&](Tensor &y) {
+        const ScatterIndex idx =
+            buildScatterIndex(ctx, gi.yAccess, gi.rows, y.dim(0));
+        // One din x dout panel per type, in the launching thread's
+        // panel buffer; workers only read it.
+        const std::int64_t psz = din * dout;
+        float *panels = panelFor(seg.types * din, dout);
+        for (std::int64_t t = 0; t < seg.types; ++t)
+            if (seg.ptr[static_cast<std::size_t>(t)] <
+                seg.ptr[static_cast<std::size_t>(t) + 1])
+                packPanel(w.data() + t * wr * wc, wc, gi.transW, 0, din,
+                          dout, panels + t * psz);
+        util::globalPool().parallelFor(
+            0, total_rows,
+            [&](std::int64_t lo, std::int64_t hi) {
+                auto v = static_cast<std::int64_t>(
+                    std::lower_bound(idx.ptr.begin(), idx.ptr.end() - 1,
+                                     lo) -
+                    idx.ptr.begin());
+                for (; v < y.dim(0) &&
+                       idx.ptr[static_cast<std::size_t>(v)] < hi;
+                     ++v) {
+                    float *yrow = y.row(v);
+                    for (std::int64_t k =
+                             idx.ptr[static_cast<std::size_t>(v)];
+                         k < idx.ptr[static_cast<std::size_t>(v) + 1];
+                         ++k) {
+                        const std::int64_t r =
+                            idx.rows[static_cast<std::size_t>(k)];
+                        const auto t = static_cast<std::int64_t>(
+                            std::upper_bound(seg.ptr.begin(),
+                                             seg.ptr.end(), r) -
+                            seg.ptr.begin() - 1);
+                        const float *xrow = x.row(
+                            resolveIndex(ctx, gi.xAccess, gi.rows, r));
+                        const float scale = scalar ? scalar[r] : 1.0f;
+                        const float *panel = panels + t * psz;
+                        if (!gi.yAccumulate)
+                            std::memset(yrow, 0,
+                                        static_cast<std::size_t>(dout) *
+                                            sizeof(float));
+                        if (jfn)
+                            jfn(yrow, xrow, scale, panel,
+                                static_cast<long long>(din));
+                        else
+                            tensor::simd::rowPanelWith(
+                                gi.sched.vecWidth, yrow, xrow, 1, scale,
+                                panel, din, dout);
+                    }
+                }
+            },
+            tensor::blocked::rowGrain(din, dout));
+    };
+
     auto body = [&]() {
         if (gi.kind == GemmKind::Outer) {
             Tensor &y2 = operand(gi.y2Var, gi.y2Slot);
             Tensor &grad =
                 untrackedParam(*ctx.weightGrads, gi.yVar, w.shape());
             // Every row of a segment accumulates into the same grad
-            // slice: sequential keeps the deterministic order.
-            for (std::int64_t t = 0; t < seg.types; ++t) {
-                float *gslice = grad.data() + t * wr * wc;
-                for (std::int64_t r = seg.ptr[static_cast<std::size_t>(t)];
-                     r < seg.ptr[static_cast<std::size_t>(t) + 1]; ++r) {
-                    const float *xrow =
-                        x.row(resolveIndex(ctx, gi.xAccess, gi.rows, r));
-                    const float *yrow =
-                        y2.row(resolveIndex(ctx, gi.y2Access, gi.rows, r));
-                    for (std::int64_t i = 0; i < din; ++i) {
-                        const float xv = xrow[i];
-                        if (xv == 0.0f)
-                            continue;
-                        float *gr = gslice + i * wc;
-                        for (std::int64_t j = 0; j < dout; ++j)
-                            gr[j] += xv * yrow[j];
+            // slice, so the split is over grad rows i instead: the
+            // caller owning [i0, i1) of every type's slice walks the
+            // segment's rows in ascending r, skipping zero x — per
+            // element the seed's order, at any thread count.
+            const bool seed = util::seedKernelMode();
+            auto gradRows = [&](std::int64_t i0, std::int64_t i1) {
+                for (std::int64_t t = 0; t < seg.types; ++t) {
+                    float *gslice = grad.data() + t * wr * wc;
+                    for (std::int64_t r =
+                             seg.ptr[static_cast<std::size_t>(t)];
+                         r < seg.ptr[static_cast<std::size_t>(t) + 1];
+                         ++r) {
+                        const float *xrow = x.row(
+                            resolveIndex(ctx, gi.xAccess, gi.rows, r));
+                        const float *yrow = y2.row(
+                            resolveIndex(ctx, gi.y2Access, gi.rows, r));
+                        for (std::int64_t i = i0; i < i1; ++i) {
+                            const float xv = xrow[i];
+                            if (xv == 0.0f)
+                                continue;
+                            float *gr = gslice + i * wc;
+                            if (seed) {
+                                for (std::int64_t j = 0; j < dout; ++j)
+                                    gr[j] += xv * yrow[j];
+                            } else {
+                                tensor::simd::axpyRange(gr, xv, yrow,
+                                                        dout);
+                            }
+                        }
                     }
                 }
+            };
+            if (seed) {
+                gradRows(0, din);
+                return;
             }
+            // A grad row i costs 2 * total_rows * dout FLOPs: one row
+            // of a GEMM with k = total_rows.
+            util::globalPool().parallelFor(
+                0, din, gradRows,
+                tensor::blocked::rowGrain(total_rows, dout));
             return;
         }
         Tensor &y = operand(gi.yVar, gi.ySlot);
@@ -510,20 +623,20 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
             rowRange(0, total_rows, false);
             return;
         }
-        // Row-range parallelism requires each output row to be owned
-        // by exactly one thread: true for Identity output access (row
-        // r writes y[r]); scatter schemes may collide, and reordering
-        // colliding accumulations would change the bits.
-        if (gi.yAccess == AccessScheme::Identity && total_rows > 0) {
-            util::globalPool().parallelFor(
-                0, total_rows,
-                [&](std::int64_t lo, std::int64_t hi) {
-                    rowRange(lo, hi, true);
-                },
-                tensor::blocked::rowGrain(din, dout));
-        } else {
-            rowRange(0, total_rows, false);
+        // Every output row is owned by exactly one thread. A colliding
+        // scatter splits over its target rows; otherwise the output
+        // access is Identity, row r writes y[r], and rows split
+        // directly.
+        if (isAtomicScatter(gi.yAccess)) {
+            scatterTargets(y);
+            return;
         }
+        util::globalPool().parallelFor(
+            0, total_rows,
+            [&](std::int64_t lo, std::int64_t hi) {
+                rowRange(lo, hi, true);
+            },
+            tensor::blocked::rowGrain(din, dout));
     };
 
     sim::KernelDesc desc;

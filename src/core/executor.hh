@@ -9,10 +9,11 @@
  * it consumes exactly the intra-operator IR the code generator emits
  * text from, so executed semantics and emitted code cannot diverge.
  *
- * Execution engine (PR 4): kernels run cache-blocked and partitioned
- * over the util::ThreadPool wherever every output row has exactly one
- * owning thread, keeping results bit-identical to the sequential
- * reference at any thread count. When a MemoryPlan is adopted, the
+ * Execution engine: kernels run cache-blocked and partitioned over the
+ * util::ThreadPool so that every output row has exactly one owning
+ * thread, which accumulates into it in the sequential reference's
+ * order; results are bit-identical to that reference at any thread
+ * count. When a MemoryPlan is adopted, the
  * context backs variables with pooled arena slot buffers (reused
  * across requests, re-zeroed per live range) and instances resolve
  * operands through stamped slot indices instead of string-keyed maps;
@@ -137,6 +138,26 @@ struct ExecutionContext
     std::vector<tensor::Tensor> slotViews_;
     std::vector<std::uint8_t> slotBound_;
 };
+
+/**
+ * Target -> rows inverse of a scatter access scheme: the rows r of
+ * @p domain whose output row resolves to target v under @p scheme are
+ * rows[ptr[v]] .. rows[ptr[v+1] - 1], in ascending r. Built by a
+ * stable counting sort in O(rows + targets), so a thread owning
+ * target v can replay exactly the seed's accumulation order for it.
+ */
+struct ScatterIndex
+{
+    std::vector<std::int64_t> ptr;  ///< targets + 1 offsets into rows
+    std::vector<std::int64_t> rows; ///< row ids grouped by target
+};
+
+/** Build the ScatterIndex of @p scheme over @p domain on the context's
+ *  graph; throws std::out_of_range if a row resolves outside
+ *  [0, targets). */
+ScatterIndex buildScatterIndex(const ExecutionContext &ctx,
+                               AccessScheme scheme, RowDomain domain,
+                               std::int64_t targets);
 
 /** Execute every instance of @p fn in order (honoring the plan's
  *  per-step zero lists when the context adopted one). */

@@ -3,8 +3,11 @@
  * Determinism matrix of the parallel execution engine: for RGAT, RGCN
  * and HGT, inference and training, the blocked thread-pool kernels at
  * 1/2/4/7 threads must produce bit-identical outputs (and weight
- * gradients) to the seed's single-threaded scalar interpreter. Also
- * pins serving-drain determinism across thread counts, including the
+ * gradients) to the seed's single-threaded scalar interpreter — on the
+ * toy graph, and on a generated graph large enough that every
+ * weight-gradient and colliding-scatter GEMM splits across threads.
+ * Also pins the scatter inverse index those GEMMs partition by, and
+ * serving-drain determinism across thread counts, including the
  * modeled report (which depends only on kernel descriptors, never on
  * the host partitioning).
  */
@@ -13,14 +16,19 @@
 
 #include <cstring>
 #include <map>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/compiler.hh"
+#include "core/executor.hh"
 #include "graph/compaction.hh"
 #include "graph/datasets.hh"
 #include "models/models.hh"
 #include "models/model_sources.hh"
 #include "serve/session.hh"
+#include "tensor/block_kernels.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -35,23 +43,36 @@ struct RunOutput
     std::map<std::string, std::vector<float>> grads;
 };
 
-RunOutput
-runModel(models::ModelKind mk, bool training, bool optimized)
+core::CompiledModel
+compileModel(models::ModelKind mk, bool training, bool optimized,
+             const graph::HeteroGraph &g, std::int64_t dim)
 {
-    const graph::HeteroGraph g = graph::toyCitationGraph();
-    const graph::CompactionMap cmap(g);
     core::CompileOptions opts;
     opts.training = training;
     if (optimized) {
         opts.compactMaterialization = true;
         opts.linearReorder = true;
     }
+    return core::compile(models::buildModel(mk, g, dim, dim), opts);
+}
+
+/** One step of @p mk on @p g at width @p dim; feature column
+ *  @p zero_col (if >= 0) is all zeros. */
+RunOutput
+runModel(models::ModelKind mk, bool training, bool optimized,
+         const graph::HeteroGraph &g, std::int64_t dim,
+         std::int64_t zero_col = -1)
+{
+    const graph::CompactionMap cmap(g);
     const core::CompiledModel m =
-        core::compile(models::buildModel(mk, g, 8, 8), opts);
+        compileModel(mk, training, optimized, g, dim);
     std::mt19937_64 rng(123);
     models::WeightMap weights =
         models::initWeights(m.forwardProgram, g, rng);
-    const Tensor feature = Tensor::uniform({g.numNodes(), 8}, rng, 0.5f);
+    Tensor feature = Tensor::uniform({g.numNodes(), dim}, rng, 0.5f);
+    if (zero_col >= 0)
+        for (std::int64_t v = 0; v < g.numNodes(); ++v)
+            feature.row(v)[zero_col] = 0.0f;
 
     sim::Runtime rt;
     models::WeightMap grads;
@@ -107,6 +128,7 @@ class ExecDeterminism : public ::testing::Test
 
 TEST_F(ExecDeterminism, MatrixModelsByModeByThreads)
 {
+    const graph::HeteroGraph g = graph::toyCitationGraph();
     for (models::ModelKind mk :
          {models::ModelKind::Rgat, models::ModelKind::Rgcn,
           models::ModelKind::Hgt}) {
@@ -115,13 +137,14 @@ TEST_F(ExecDeterminism, MatrixModelsByModeByThreads)
                 // The oracle: the seed's sequential scalar kernels.
                 util::setSeedKernelMode(true);
                 util::setGlobalThreads(1);
-                const RunOutput seed = runModel(mk, training, optimized);
+                const RunOutput seed =
+                    runModel(mk, training, optimized, g, 8);
 
                 util::setSeedKernelMode(false);
                 for (int threads : {1, 2, 4, 7}) {
                     util::setGlobalThreads(threads);
                     const RunOutput got =
-                        runModel(mk, training, optimized);
+                        runModel(mk, training, optimized, g, 8);
                     const std::string what =
                         std::string(models::toString(mk)) +
                         (training ? "/train" : "/infer") +
@@ -132,6 +155,173 @@ TEST_F(ExecDeterminism, MatrixModelsByModeByThreads)
             }
         }
     }
+}
+
+/**
+ * Width 11, which no thread count above 1 divides, on aifb at 1/8:
+ * every weight-gradient GEMM has more grad rows than its split grain
+ * and every colliding-scatter GEMM (HGT's backward scatters, RGCN's
+ * fused scatter with its per-row scalar) more rows than its grain, so
+ * each of them runs on several threads. Feature column 3 is all zeros
+ * to exercise the zero-skip.
+ */
+TEST_F(ExecDeterminism, SplitWeightGradAndScatterGemmsMatchSeed)
+{
+    constexpr std::int64_t kDim = 11;
+    constexpr std::int64_t kZeroCol = 3;
+    const graph::HeteroGraph g =
+        graph::generate(graph::datasetSpec("aifb"), 1.0 / 8.0);
+    const graph::CompactionMap cmap(g);
+    core::ExecutionContext shape;
+    shape.reset(&g, &cmap, nullptr, nullptr, nullptr);
+
+    int outer = 0, scatter = 0, scaled_scatter = 0;
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgat, models::ModelKind::Rgcn,
+          models::ModelKind::Hgt}) {
+        for (bool training : {false, true}) {
+            for (bool optimized : {false, true}) {
+                const std::string what =
+                    std::string(models::toString(mk)) +
+                    (training ? "/train" : "/infer") +
+                    (optimized ? "/C+R" : "/base");
+                const core::CompiledModel m =
+                    compileModel(mk, training, optimized, g, kDim);
+                for (const auto *fn : {&m.forwardFn, &m.backwardFn}) {
+                    for (const auto &gi : fn->gemms) {
+                        const std::int64_t rows = shape.rowsOf(gi.rows);
+                        if (gi.kind == core::GemmKind::Outer) {
+                            EXPECT_GT(gi.din, tensor::blocked::rowGrain(
+                                                  rows, gi.dout))
+                                << what << ": " << gi.name;
+                            ++outer;
+                        } else if (gi.yAccess !=
+                                   core::AccessScheme::Identity) {
+                            EXPECT_GT(rows, tensor::blocked::rowGrain(
+                                                gi.din, gi.dout))
+                                << what << ": " << gi.name;
+                            ++scatter;
+                            scaled_scatter += !gi.perRowScalarVar.empty();
+                        }
+                    }
+                }
+
+                util::setSeedKernelMode(true);
+                util::setGlobalThreads(1);
+                const RunOutput seed =
+                    runModel(mk, training, optimized, g, kDim, kZeroCol);
+                util::setSeedKernelMode(false);
+                for (int threads : {1, 2, 4, 7}) {
+                    util::setGlobalThreads(threads);
+                    expectSame(seed,
+                               runModel(mk, training, optimized, g, kDim,
+                                        kZeroCol),
+                               (what + "/t" + std::to_string(threads))
+                                   .c_str());
+                }
+            }
+        }
+    }
+    EXPECT_GT(outer, 0);
+    EXPECT_GT(scatter, 0);
+    EXPECT_GT(scaled_scatter, 0);
+}
+
+/** Brute force: per target, the rows resolving to it, ascending. */
+void
+expectInverse(const core::ScatterIndex &idx,
+              std::span<const std::int64_t> target_of,
+              std::int64_t targets, const std::string &what)
+{
+    ASSERT_EQ(idx.ptr.size(), static_cast<std::size_t>(targets) + 1)
+        << what;
+    ASSERT_EQ(idx.rows.size(), target_of.size()) << what;
+    EXPECT_EQ(idx.ptr.front(), 0) << what;
+    for (std::int64_t v = 0; v < targets; ++v) {
+        std::vector<std::int64_t> want;
+        for (std::size_t r = 0; r < target_of.size(); ++r)
+            if (target_of[r] == v)
+                want.push_back(static_cast<std::int64_t>(r));
+        const std::vector<std::int64_t> got(
+            idx.rows.begin() + idx.ptr[static_cast<std::size_t>(v)],
+            idx.rows.begin() + idx.ptr[static_cast<std::size_t>(v) + 1]);
+        EXPECT_EQ(got, want) << what << ": target " << v;
+    }
+}
+
+/** All four scatter resolutions; returns targets left without rows. */
+int
+checkAllResolutions(const graph::HeteroGraph &g, const std::string &what)
+{
+    const graph::CompactionMap cmap(g);
+    core::ExecutionContext ctx;
+    ctx.reset(&g, &cmap, nullptr, nullptr, nullptr);
+    struct Case
+    {
+        core::AccessScheme scheme;
+        core::RowDomain domain;
+        std::span<const std::int64_t> targetOf;
+        std::int64_t targets;
+        const char *name;
+    };
+    const Case cases[] = {
+        {core::AccessScheme::ScatterSrcAtomic, core::RowDomain::Edges,
+         g.src(), g.numNodes(), "src/edges"},
+        {core::AccessScheme::ScatterSrcAtomic, core::RowDomain::UniquePairs,
+         cmap.uniqueRowIdx(), g.numNodes(), "src/unique"},
+        {core::AccessScheme::ScatterDstAtomic, core::RowDomain::Edges,
+         g.dst(), g.numNodes(), "dst/edges"},
+        {core::AccessScheme::ScatterUniqueAtomic, core::RowDomain::Edges,
+         cmap.edgeToUnique(), cmap.numUnique(), "unique/edges"},
+    };
+    int empty = 0;
+    for (const Case &c : cases) {
+        const core::ScatterIndex idx =
+            core::buildScatterIndex(ctx, c.scheme, c.domain, c.targets);
+        expectInverse(idx, c.targetOf, c.targets, what + "/" + c.name);
+        for (std::int64_t v = 0; v < c.targets; ++v)
+            empty += idx.ptr[static_cast<std::size_t>(v)] ==
+                     idx.ptr[static_cast<std::size_t>(v) + 1];
+    }
+    return empty;
+}
+
+TEST(ScatterIndex, ListsAreRowAscendingForEveryResolution)
+{
+    // Node 4 is isolated, and (src 0, etype 0) collides three times.
+    const graph::HeteroGraph small(
+        {0, 0, 0, 0, 0}, 1, 2, {0, 0}, {0, 0},
+        {{2, 1, 1}, {0, 1, 0}, {2, 3, 0}, {0, 2, 0}, {3, 0, 1},
+         {0, 3, 0}, {2, 1, 0}});
+    EXPECT_GT(checkAllResolutions(small, "small"), 0);
+    checkAllResolutions(graph::toyCitationGraph(), "toy");
+    checkAllResolutions(
+        graph::generate(graph::datasetSpec("aifb"), 1.0 / 64.0), "aifb");
+}
+
+TEST(ScatterIndex, EmptyGraphs)
+{
+    // No edges: every target's list is empty.
+    EXPECT_EQ(checkAllResolutions(
+                  graph::HeteroGraph({0, 0, 0}, 1, 1, {0}, {0}, {}),
+                  "edgeless"),
+              3 * 3);
+    // No nodes at all: no targets and no rows.
+    EXPECT_EQ(checkAllResolutions(
+                  graph::HeteroGraph({}, 1, 1, {0}, {0}, {}), "nodeless"),
+              0);
+}
+
+TEST(ScatterIndex, TargetOutOfRangeThrows)
+{
+    const graph::HeteroGraph g = graph::toyCitationGraph();
+    const graph::CompactionMap cmap(g);
+    core::ExecutionContext ctx;
+    ctx.reset(&g, &cmap, nullptr, nullptr, nullptr);
+    EXPECT_THROW(core::buildScatterIndex(ctx,
+                                         core::AccessScheme::ScatterDstAtomic,
+                                         core::RowDomain::Edges, 1),
+                 std::out_of_range);
 }
 
 TEST_F(ExecDeterminism, ServingDrainIsThreadCountInvariant)

@@ -16,15 +16,8 @@ namespace hector::serve
 
 using tensor::Tensor;
 
-namespace
-{
+// ------------------------------------------------------------------ helpers
 
-/**
- * Deterministic dual-issue sampling: error diffusion over the
- * duplication fraction, no RNG, so of the first k primary batches
- * exactly round(k * fraction) duplicate — and a fault run replays
- * identically at any thread count.
- */
 bool
 sampleDuplicate(double fraction, double &acc)
 {
@@ -38,9 +31,42 @@ sampleDuplicate(double fraction, double &acc)
     return false;
 }
 
-} // namespace
-
-// ------------------------------------------------------------------ helpers
+GuardedRun
+guardedRun(const std::function<void(std::vector<Tensor> &)> &exec,
+           std::vector<Tensor> &outs, int device, double now_sec,
+           sim::FaultInjector *fi, bool duplicate,
+           const std::function<void(std::uint64_t)> &on_detect)
+{
+    GuardedRun g;
+    const bool hit = fi && fi->armTransient(device);
+    const std::uint64_t ord = fi ? fi->batchOrdinal(device) : 0;
+    exec(outs);
+    if (hit)
+        fi->corruptBatch(outs, device, now_sec);
+    if (!duplicate) {
+        if (hit)
+            fi->noteEscape(device, now_sec, ord);
+        return g;
+    }
+    g.duplicated = true;
+    if (fi)
+        fi->noteDuplicate(device, now_sec, ord);
+    std::vector<Tensor> dup;
+    exec(dup);
+    const std::uint64_t lhs = tensor::checksum(outs);
+    const std::uint64_t rhs = tensor::checksum(dup);
+    if (lhs == rhs)
+        return g;
+    g.replayed = true;
+    if (fi)
+        fi->noteDetection(device, now_sec, ord, lhs, rhs);
+    if (on_detect)
+        on_detect(ord);
+    exec(outs);
+    if (fi)
+        fi->noteReplay(device, now_sec, "transient");
+    return g;
+}
 
 double
 percentileSorted(const std::vector<double> &sorted, double q)
@@ -87,7 +113,7 @@ fillLatencyStats(ServingReport &report,
     if (deadline_ms > 0.0 && !latencies_sec.empty()) {
         std::size_t met = 0;
         for (double l : latencies_sec)
-            if (l * 1e3 <= deadline_ms)
+            if (meetsDeadline(l, deadline_ms))
                 ++met;
         report.sloAttainment =
             static_cast<double>(met) /
@@ -118,7 +144,7 @@ makeVariantReport(const std::string &name,
     std::size_t met = 0;
     for (double l : latencies_sec) {
         sum += l;
-        if (deadline_ms <= 0.0 || l * 1e3 <= deadline_ms)
+        if (meetsDeadline(l, deadline_ms))
             ++met;
     }
     vr.meanLatencyMs =
@@ -593,12 +619,10 @@ Engine::drain()
                   return a.firstId < b.firstId;
               });
 
-    // Each logical batch is one primary scheduler run, optionally
-    // followed by an ASPIS-style redundant run (deterministically
-    // sampled per variant) whose output checksum is compared against
-    // the primary's, and — on a detected mismatch — a replay run whose
-    // output is the one served (bit-identical to fault-free, since
-    // execution is deterministic).
+    // Each logical batch is one guardedRun: a primary scheduler run,
+    // optionally an ASPIS-style redundant run (deterministically
+    // sampled per variant) and, on a detected mismatch, a replay run
+    // whose output is the one served.
     sim::FaultInjector *fi = rt_.faultInjector();
     struct RunRefs
     {
@@ -625,40 +649,22 @@ Engine::drain()
                                    v.cfg.useArena);
             });
         };
-        const bool hit = fi && fi->armTransient(rt_.deviceId());
-        const std::uint64_t ord =
-            fi ? fi->batchOrdinal(rt_.deviceId()) : 0;
         runs[b].primary = run_idx++;
-        run_exec(outs);
-        if (hit)
-            fi->corruptBatch(outs, rt_.deviceId(), hostClockSec_);
-        if (sampleDuplicate(v.cfg.duplicationFraction * dupScale_,
-                            v.dupAccum)) {
-            if (fi)
-                fi->noteDuplicate(rt_.deviceId(), hostClockSec_, ord);
-            std::vector<Tensor> dup;
-            runs[b].dup = run_idx++;
-            run_exec(dup);
-            const std::uint64_t lhs = tensor::checksum(outs);
-            const std::uint64_t rhs = tensor::checksum(dup);
-            if (lhs != rhs) {
-                if (fi)
-                    fi->noteDetection(rt_.deviceId(), hostClockSec_,
-                                      ord, lhs, rhs);
+        const GuardedRun g = guardedRun(
+            run_exec, outs, rt_.deviceId(), hostClockSec_, fi,
+            sampleDuplicate(v.cfg.duplicationFraction * dupScale_,
+                            v.dupAccum),
+            [&](std::uint64_t ord) {
                 if (obs::enabled())
                     obs::tracer().instant(
                         "fault.detect", "serve", hostClockSec_,
                         rt_.deviceId(), 0,
                         "\"batch\":" + std::to_string(ord));
-                runs[b].replay = run_idx++;
-                run_exec(outs);
-                if (fi)
-                    fi->noteReplay(rt_.deviceId(), hostClockSec_,
-                                   "transient");
-            }
-        } else if (hit) {
-            fi->noteEscape(rt_.deviceId(), hostClockSec_, ord);
-        }
+            });
+        if (g.duplicated)
+            runs[b].dup = run_idx++;
+        if (g.replayed)
+            runs[b].replay = run_idx++;
         // Detach results from the device memory scope so they
         // outlive the drain cycle.
         tensor::TrackerScope untracked(nullptr);
@@ -717,7 +723,7 @@ Engine::drain()
             latencies.push_back(lat);
             queue_delays.push_back(std::max(0.0, lat - service));
             by_variant[pb.variant].push_back(lat);
-            if (v.cfg.deadlineMs <= 0.0 || lat * 1e3 <= v.cfg.deadlineMs)
+            if (meetsDeadline(lat, v.cfg.deadlineMs))
                 ++met;
             if (flight_) {
                 const std::uint64_t id = v.queue[i].id;
@@ -815,51 +821,24 @@ Engine::serveOldest(int v, std::size_t n, int stream)
     reqs.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         reqs.push_back(&var.queue[i]);
+    // Guarded like drain(); the redundant and replay runs serialize on
+    // this stream, so their cost folds into the batch cost the online
+    // layer charges.
     std::vector<Tensor> outs;
     const auto run_once = [&](std::vector<Tensor> &dst) {
-        return runOnStream(rt_, stream, [&]() {
+        const StreamRunCost run = runOnStream(rt_, stream, [&]() {
             auto scope = rt_.memoryScope();
             MicroBatch batch = coalesce(reqs, rt_);
             dst = executeBatch(*plan, batch, var.weights, rt_, var.ctx,
                                var.grads, var.cfg.useArena);
         });
+        cost.execSec += run.execSec;
+        cost.overheadSec += run.overheadSec;
     };
-    const StreamRunCost run = run_once(outs);
-    cost.execSec = run.execSec;
-    cost.overheadSec = run.overheadSec;
-
-    // ASPIS sandwich, same semantics as drain(); the redundant and
-    // replay runs serialize on this stream, so their cost folds into
-    // the batch cost the online layer charges.
-    sim::FaultInjector *fi = rt_.faultInjector();
-    const bool hit = fi && fi->armTransient(rt_.deviceId());
-    const std::uint64_t ord = fi ? fi->batchOrdinal(rt_.deviceId()) : 0;
-    if (hit)
-        fi->corruptBatch(outs, rt_.deviceId(), rt_.nowSec());
-    if (sampleDuplicate(var.cfg.duplicationFraction * dupScale_,
-                        var.dupAccum)) {
-        if (fi)
-            fi->noteDuplicate(rt_.deviceId(), rt_.nowSec(), ord);
-        std::vector<Tensor> dup;
-        const StreamRunCost r2 = run_once(dup);
-        cost.execSec += r2.execSec;
-        cost.overheadSec += r2.overheadSec;
-        const std::uint64_t lhs = tensor::checksum(outs);
-        const std::uint64_t rhs = tensor::checksum(dup);
-        if (lhs != rhs) {
-            if (fi)
-                fi->noteDetection(rt_.deviceId(), rt_.nowSec(), ord,
-                                  lhs, rhs);
-            const StreamRunCost r3 = run_once(outs);
-            cost.execSec += r3.execSec;
-            cost.overheadSec += r3.overheadSec;
-            if (fi)
-                fi->noteReplay(rt_.deviceId(), rt_.nowSec(),
-                               "transient");
-        }
-    } else if (hit) {
-        fi->noteEscape(rt_.deviceId(), rt_.nowSec(), ord);
-    }
+    guardedRun(run_once, outs, rt_.deviceId(), rt_.nowSec(),
+               rt_.faultInjector(),
+               sampleDuplicate(var.cfg.duplicationFraction * dupScale_,
+                               var.dupAccum));
     {
         tensor::TrackerScope untracked(nullptr);
         for (std::size_t i = 0; i < n; ++i)

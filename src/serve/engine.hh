@@ -40,6 +40,7 @@
 #define HECTOR_SERVE_ENGINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
@@ -362,12 +363,60 @@ VariantReport makeVariantReport(const std::string &name,
                                 std::vector<double> &latencies_sec,
                                 double deadline_ms);
 
+/**
+ * Whether a request that completed @p lat_sec after arrival met a
+ * @p deadline_ms SLO; always true without a deadline (<= 0). The one
+ * on-time predicate of every report path, so a run's sloAttainment and
+ * its per-variant rows judge the boundary identically.
+ */
+inline bool
+meetsDeadline(double lat_sec, double deadline_ms)
+{
+    return deadline_ms <= 0.0 || lat_sec * 1e3 <= deadline_ms;
+}
+
 /** Accumulate the (after - before) plan-cache stat deltas into the
  *  device's plan-lifecycle counters — the one delta-bookkeeping path
  *  for every cache lookup and budget re-enforcement site. */
 void recordPlanEvents(sim::PlanEvents &events,
                       const PlanCache::Stats &before,
                       const PlanCache::Stats &after);
+
+/**
+ * Deterministic ASPIS dual-issue sampling: error diffusion of
+ * @p fraction through the caller's accumulator @p acc, no RNG, so of
+ * the first k primary batches exactly round(k * fraction) duplicate —
+ * and a fault run replays identically at any thread count.
+ */
+bool sampleDuplicate(double fraction, double &acc);
+
+/** What guardedRun() did beyond the primary execution. */
+struct GuardedRun
+{
+    /** A redundant copy ran and its checksum was compared. */
+    bool duplicated = false;
+    /** The checksums disagreed and a replay overwrote the output. */
+    bool replayed = false;
+};
+
+/**
+ * Execute one primary batch under the ASPIS-style guard — the one
+ * duplicate -> checksum-compare -> replay routine of every serving
+ * path. @p exec runs the batch into its argument; it is called once
+ * for the primary (into @p outs), once more for the duplicate when
+ * @p duplicate, and a third time (into @p outs again) on a detected
+ * mismatch, whose replay is the output served (bit-identical to
+ * fault-free, since execution is deterministic). A transient scheduled
+ * on @p device by @p fi corrupts the primary's output; detections,
+ * escapes and replays are logged to @p fi at @p now_sec. @p on_detect
+ * runs between the detection and the replay with the batch's ordinal,
+ * for the caller's own trace/report side effects.
+ */
+GuardedRun guardedRun(
+    const std::function<void(std::vector<tensor::Tensor> &)> &exec,
+    std::vector<tensor::Tensor> &outs, int device, double now_sec,
+    sim::FaultInjector *fi, bool duplicate,
+    const std::function<void(std::uint64_t)> &on_detect = {});
 
 /** Modeled cost of one micro-batch served by serveOldest(). */
 struct BatchCost

@@ -186,13 +186,13 @@ namespace
 {
 
 /**
- * Shared finalization tail of the three tick loops: rate and
- * batch-size metrics, the per-request latency statistics via
- * fillLatencyStats (so the drain and online paths cannot drift), and
- * the shedding statistics — admittedSloAttainment keeps the
- * admitted-only attainment, while sloAttainment counts shed arrivals
- * as misses (denominator = offered), which reduces to the historical
- * value whenever nothing was shed.
+ * Shared finalization tail of the tick loops: rate and batch-size
+ * metrics, the per-request latency statistics via fillLatencyStats (so
+ * the drain and online paths cannot drift), and the shedding
+ * statistics — admittedSloAttainment keeps the admitted-only
+ * attainment, while sloAttainment counts shed arrivals as misses
+ * (denominator = offered), which reduces to the historical value
+ * whenever nothing was shed.
  */
 void
 finalizeOnlineReport(OnlineReport &rep, std::size_t served,
@@ -230,22 +230,13 @@ finalizeOnlineReport(OnlineReport &rep, std::size_t served,
     if ((shed > 0 || failed > 0) && deadline_ms > 0.0) {
         std::size_t met = 0;
         for (double l : latencies_sec)
-            if (l * 1e3 <= deadline_ms)
+            if (meetsDeadline(l, deadline_ms))
                 ++met;
         rep.sloAttainment = static_cast<double>(met) /
                             static_cast<double>(offered);
     }
 }
 
-/**
- * Single-device open-loop clocks, shared by runSingle() and
- * runMulti() so the single- and multi-tenant tick machinery cannot
- * drift: one host thread admits arrivals and issues launches
- * (hostFree), each stream runs one batch at a time (streamFree), and
- * the serialized fraction of every kernel occupies a device-wide
- * shared resource (contendFree) — Runtime::makespanSec's overlap
- * rule, applied per batch.
- */
 /** Arrival time and request id of one queued arrival (FIFO entries of
  *  the tick loops; the id attributes flight-recorder lifecycle events
  *  to the engine-assigned request). */
@@ -259,6 +250,28 @@ struct QueuedArrival
     double notBeforeSec = 0.0;
 };
 
+/** Index of the least-busy entry of @p free_at other than @p skip
+ *  (ties to the lower index); -1 when there is none. */
+int
+leastLoaded(const std::vector<double> &free_at, int skip = -1)
+{
+    int best = -1;
+    for (std::size_t i = 0; i < free_at.size(); ++i)
+        if (static_cast<int>(i) != skip &&
+            (best < 0 ||
+             free_at[i] < free_at[static_cast<std::size_t>(best)]))
+            best = static_cast<int>(i);
+    return best;
+}
+
+/**
+ * Open-loop clocks of one device: one host thread issues launches
+ * (hostFree), each stream runs one batch at a time (streamFree), and
+ * the serialized fraction of every kernel occupies a device-wide
+ * shared resource (contendFree) — Runtime::makespanSec's overlap rule,
+ * applied per batch. The lane loop runs one; the sharded loop runs one
+ * per device, with hostFree as that device's driver thread.
+ */
 struct OpenLoopClock
 {
     std::vector<double> streamFree;
@@ -271,16 +284,7 @@ struct OpenLoopClock
           serialFrac(serial_frac)
     {}
 
-    /** Least-loaded stream (ties to the lower id). */
-    int
-    pickStream() const
-    {
-        int s = 0;
-        for (std::size_t i = 1; i < streamFree.size(); ++i)
-            if (streamFree[i] < streamFree[static_cast<std::size_t>(s)])
-                s = static_cast<int>(i);
-        return s;
-    }
+    int pickStream() const { return leastLoaded(streamFree); }
 
     struct Issued
     {
@@ -288,23 +292,49 @@ struct OpenLoopClock
         double done = 0.0;
     };
 
-    /** Advance all three clocks for one batch issued to @p stream. */
+    /** Serialize @p overhead_sec of launches on the issuing thread,
+     *  starting no earlier than @p not_before; returns issue end. */
+    double
+    launch(double overhead_sec, double not_before)
+    {
+        hostFree = std::max(hostFree, not_before) + overhead_sec;
+        return hostFree;
+    }
+
+    /** Execute @p exec_sec on @p stream once its inputs are @p ready. */
+    Issued
+    run(double exec_sec, int stream, double ready)
+    {
+        double &sf = streamFree[static_cast<std::size_t>(stream)];
+        Issued t;
+        t.execStart = std::max(ready, std::max(sf, contendFree));
+        t.done = t.execStart + exec_sec;
+        sf = t.done;
+        contendFree = t.execStart + serialFrac * exec_sec;
+        return t;
+    }
+
+    /** Launch then run one batch on @p stream. */
     Issued
     issue(const BatchCost &cost, int stream)
     {
-        const double issue_done = hostFree + cost.overheadSec;
-        Issued t;
-        t.execStart = std::max(
-            issue_done,
-            std::max(streamFree[static_cast<std::size_t>(stream)],
-                     contendFree));
-        t.done = t.execStart + cost.execSec;
-        hostFree = issue_done;
-        streamFree[static_cast<std::size_t>(stream)] = t.done;
-        contendFree = t.execStart + serialFrac * cost.execSec;
-        return t;
+        return run(cost.execSec, stream,
+                   launch(cost.overheadSec, hostFree));
     }
 };
+
+/** The single-session arrival process: @p cfg's trace when one is set,
+ *  else its seeded Poisson/MMPP/diurnal process (none when
+ *  numRequests is 0). */
+LoadGenerator
+sessionArrivals(const OnlineConfig &cfg)
+{
+    if (!cfg.arrivalTrace.empty() || cfg.numRequests == 0)
+        return LoadGenerator(cfg.arrivalTrace);
+    return LoadGenerator(cfg.arrivalRatePerSec, cfg.numRequests,
+                         cfg.arrivalSeed, cfg.serving.mmpp,
+                         cfg.serving.diurnal);
+}
 
 /** One lane's LaneSpec from its ServingConfig + the run's OnlineConfig
  *  — the single place the policy layer learns a lane's knobs. */
@@ -402,7 +432,7 @@ OnlineServer::OnlineServer(const graph::HeteroGraph &g,
                            tensor::Tensor host_features,
                            std::string model_source, OnlineConfig cfg,
                            sim::Runtime &rt)
-    : cfg_(cfg), rt_(&rt),
+    : cfg_(cfg),
       session_(std::make_unique<ServingSession>(
           g, std::move(host_features), std::move(model_source),
           cfg.serving, rt)),
@@ -530,285 +560,19 @@ OnlineServer::buildPolicy(PolicySetup setup) const
 OnlineReport
 OnlineServer::run()
 {
-    if (engine_)
-        return runMulti();
-    return sharded_ ? runSharded() : runSingle();
+    return sharded_ ? runSharded() : runLanes();
 }
 
 OnlineReport
-OnlineServer::runSingle()
+OnlineServer::runLanes()
 {
+    // Multi-tenant mode serves one lane per VariantLoad; the
+    // single-device mode is one unlabelled lane over the session's
+    // one-variant engine, fed by cfg_'s own arrival knobs.
+    Engine &eng = engine_ ? *engine_ : session_->engine();
+    sim::Runtime &rt = eng.runtime();
     OnlineReport rep;
-    rep.offeredRatePerSec = cfg_.arrivalRatePerSec;
-    rep.deadlineMs = cfg_.serving.deadlineMs;
-    latenciesMs_.clear();
-    queueDelaysMs_.clear();
-    batchSizes_.clear();
-
-    PolicySetup setup;
-    setup.lanes.push_back(laneSpecFrom("default", cfg_.serving, cfg_));
-    setup.sharedBatcher = &batcher_;
-    const std::unique_ptr<SchedulerPolicy> policy =
-        buildPolicy(std::move(setup));
-    rep.policy = policy->name();
-    const std::size_t total_requests = cfg_.arrivalTrace.empty()
-                                           ? cfg_.numRequests
-                                           : cfg_.arrivalTrace.size();
-    if (total_requests == 0)
-        return rep;
-
-    LoadGenerator gen =
-        cfg_.arrivalTrace.empty()
-            ? LoadGenerator(cfg_.arrivalRatePerSec, cfg_.numRequests,
-                            cfg_.arrivalSeed, cfg_.serving.mmpp,
-                            cfg_.serving.diurnal)
-            : LoadGenerator(cfg_.arrivalTrace);
-
-    std::unique_ptr<ResilienceManager> resil;
-    if (cfg_.serving.resilience.enabled) {
-        resil = std::make_unique<ResilienceManager>(
-            cfg_.serving.resilience, 1);
-        resil->setFlightRecorder(flight_);
-    }
-    const double deadline_sec = cfg_.serving.deadlineMs * 1e-3;
-
-    const int num_streams = std::max(1, cfg_.serving.numStreams);
-    const double serial_frac = rt_->spec().streamSerialFraction;
-
-    // Open-loop timeline, per-batch application of the runtime's
-    // overlap rule (OpenLoopClock — shared with the multi-tenant
-    // loop).
-    OpenLoopClock clock(num_streams, serial_frac);
-
-    /** Arrival time and id of each queued request, FIFO like the
-     *  session. */
-    std::deque<QueuedArrival> queued_arrivals;
-
-    const std::uint64_t launches_before = rt_->counters().total().launches;
-    std::size_t shed_total = 0;
-    std::size_t failed_total = 0;
-
-    // Admit (or shed) every arrival the host clock has passed; each
-    // admitted request pays its modeled host-to-device transfer on the
-    // serialized host clock, while shed arrivals never sample, never
-    // transfer, and never touch a queue.
-    auto admit = [&]() {
-        while (!gen.done() && gen.peekSec() <= clock.hostFree) {
-            const double arr = gen.next();
-            rep.lastArrivalMs = arr * 1e3;
-            LaneView view;
-            view.queueDepth = queued_arrivals.size();
-            view.headArrivalSec = queued_arrivals.empty()
-                                      ? arr
-                                      : queued_arrivals.front().arrivalSec;
-            view.moreArrivals = !gen.done();
-            const AdmitDecision dec =
-                policy->admit(0, view, arr, clock.hostFree);
-            if (!dec.admit) {
-                ++shed_total;
-                recordShed(flight_, session_->reserveId(), arr,
-                           rt_->deviceId(), dec.reason, std::string());
-                if (resil)
-                    resil->noteFailure(0, clock.hostFree, "shed");
-                continue;
-            }
-            if (resil)
-                resil->noteAdmit(0);
-            const double host_before = rt_->hostTimeMs() * 1e-3;
-            const std::uint64_t id = session_->submit();
-            const double transfer = rt_->hostTimeMs() * 1e-3 - host_before;
-            clock.hostFree = std::max(clock.hostFree, arr) + transfer;
-            if (flight_) {
-                flight_->event(id, "arrival", arr, rt_->deviceId());
-                flight_->event(id, "admission", clock.hostFree,
-                               rt_->deviceId(),
-                               "transfer_ms=" +
-                                   obs::jsonNum(transfer * 1e3));
-            }
-            queued_arrivals.push_back(QueuedArrival{arr, id});
-            rep.peakLaneQueueDepth = std::max(rep.peakLaneQueueDepth,
-                                              queued_arrivals.size());
-        }
-    };
-
-    std::size_t served = 0;
-    double last_completion = 0.0;
-    std::vector<double> latencies_sec;
-    std::vector<double> queue_delays_sec;
-    latencies_sec.reserve(total_requests);
-    queue_delays_sec.reserve(total_requests);
-
-    // Timeout cancellation: fail the queue head fast while its
-    // remaining deadline budget cannot cover the policy's calibrated
-    // service estimate. Read-only unless it fires, so a run where no
-    // deadline ever expires keeps the pre-resilience timeline.
-    auto failfast = [&]() {
-        if (!resil || deadline_sec <= 0.0)
-            return;
-        while (!queued_arrivals.empty()) {
-            const QueuedArrival head = queued_arrivals.front();
-            const double est = policy->estimateServiceSec(0, 1);
-            if (!resil->deadlineExpired(head.arrivalSec, deadline_sec,
-                                        clock.hostFree, est))
-                break;
-            session_->dropOldest(1);
-            queued_arrivals.pop_front();
-            resil->recordTimeout(head.id, 0, rt_->deviceId(),
-                                 head.arrivalSec, clock.hostFree);
-            ++failed_total;
-        }
-    };
-
-    while (served + shed_total + failed_total < total_requests) {
-        admit();
-        failfast();
-        if (queued_arrivals.empty()) {
-            if (gen.done())
-                break; // everything remaining was shed
-            // Idle: jump the host clock to the next arrival.
-            clock.hostFree = std::max(clock.hostFree, gen.peekSec());
-            rt_->advanceTo(clock.hostFree);
-            continue;
-        }
-
-        const std::size_t depth = queued_arrivals.size();
-        rep.peakQueueDepth = std::max(rep.peakQueueDepth, depth);
-        rep.peakLaneQueueDepth =
-            std::max(rep.peakLaneQueueDepth, depth);
-
-        if (resil) {
-            resil->tickBrownout(depth, cfg_.serving.maxQueueDepth,
-                                clock.hostFree);
-            session_->engine().setDuplicationScale(
-                resil->duplicationScale());
-        }
-
-        std::vector<LaneView> views(1);
-        views[0].queueDepth = depth;
-        views[0].headArrivalSec = queued_arrivals.front().arrivalSec;
-        views[0].moreArrivals = !gen.done();
-        views[0].blocked = resil && resil->blocked(0, clock.hostFree);
-        int lane = policy->pickLane(views);
-        if (lane < 0) {
-            if (!gen.done()) {
-                // Wait (e.g. wait-to-fill still filling, or an open
-                // breaker): jump the host clock to the next arrival.
-                clock.hostFree = std::max(clock.hostFree, gen.peekSec());
-                rt_->advanceTo(clock.hostFree);
-                continue;
-            }
-            lane = oldestLane(views); // forced progress (breaker probe)
-        }
-
-        std::size_t batch = policy->pickBatch(0, views[0]);
-        batch = std::max<std::size_t>(1, std::min(batch, depth));
-
-        if (!cfg_.retainResults)
-            session_->clearResults();
-
-        // Hedge: the head request has waited past the EWMA-derived
-        // delay, so a backup copy runs on a second stream; the first
-        // completion wins. The primary result stays authoritative
-        // (hedgeOldest stores nothing), so outputs are bit-identical
-        // to the unhedged run by construction.
-        const int s = clock.pickStream();
-        const QueuedArrival head = queued_arrivals.front();
-        bool hedged = false;
-        BatchCost hedge_cost;
-        int hs = -1;
-        if (resil && resil->hedgeReady() && num_streams > 1) {
-            const double waited = clock.hostFree - head.arrivalSec;
-            if (waited > resil->hedgeDelaySec()) {
-                hs = s == 0 ? 1 : 0;
-                for (int i = 0; i < num_streams; ++i)
-                    if (i != s &&
-                        clock.streamFree[static_cast<std::size_t>(i)] <
-                            clock.streamFree[static_cast<std::size_t>(
-                                hs)])
-                        hs = i;
-                hedge_cost = session_->hedgeOldest(hs);
-                hedged = hedge_cost.requests > 0;
-                if (hedged)
-                    resil->recordHedge(head.id, 0, rt_->deviceId(),
-                                       clock.hostFree, waited);
-            }
-        }
-
-        const BatchCost cost = session_->serveOldest(batch, s);
-        const OpenLoopClock::Issued t = clock.issue(cost, s);
-        double head_done = t.done;
-        if (hedged) {
-            const OpenLoopClock::Issued th =
-                clock.issue(hedge_cost, hs);
-            const bool hedge_won = th.done < t.done;
-            head_done = std::min(t.done, th.done);
-            resil->recordHedgeOutcome(head.id, rt_->deviceId(),
-                                      head_done, hedge_won);
-            last_completion = std::max(last_completion, th.done);
-        }
-        rt_->advanceTo(std::max(t.done, last_completion));
-
-        if (obs::enabled())
-            obs::tracer().complete(
-                "tick", "online", t.execStart, cost.execSec,
-                rt_->deviceId(), s,
-                "\"batch\":" + std::to_string(batch));
-
-        policy->observe(0, cost);
-        batchSizes_.push_back(batch);
-        ++rep.ticks;
-
-        for (std::size_t i = 0; i < batch; ++i) {
-            const QueuedArrival req = queued_arrivals.front();
-            queued_arrivals.pop_front();
-            const double done_at = i == 0 ? head_done : t.done;
-            const double lat = done_at - req.arrivalSec;
-            const double delay =
-                std::max(0.0, t.execStart - req.arrivalSec);
-            latencies_sec.push_back(lat);
-            queue_delays_sec.push_back(delay);
-            latenciesMs_.push_back(lat * 1e3);
-            queueDelaysMs_.push_back(delay * 1e3);
-            if (resil)
-                resil->observeLatency(lat);
-            if (flight_) {
-                flight_->event(req.id, "exec-start", t.execStart,
-                               rt_->deviceId(),
-                               "stream=" + std::to_string(s));
-                flight_->event(req.id, "completion", done_at,
-                               rt_->deviceId(),
-                               "latency_ms=" + obs::jsonNum(lat * 1e3));
-            }
-            if (obs::enabled())
-                obs::metrics()
-                    .histogram("online.latency_ms")
-                    .observe(lat * 1e3);
-        }
-        served += batch;
-        if (resil)
-            resil->noteSuccess(0, t.done);
-        last_completion = std::max(last_completion, t.done);
-    }
-
-    finalizeOnlineReport(rep, served, last_completion, latencies_sec,
-                         queue_delays_sec, cfg_.serving.deadlineMs,
-                         shed_total, failed_total);
-    applyResilienceStats(rep, resil.get());
-
-    fillCacheStats(rep, session_->planCache().stats());
-    rep.launches = rt_->counters().total().launches - launches_before;
-    return rep;
-}
-
-OnlineReport
-OnlineServer::runMulti()
-{
-    sim::Runtime &rt = engine_->runtime();
-    OnlineReport rep;
-    // Start from the base config's deadline like the other two paths
-    // (historically this was zeroed here, so an empty multi-tenant run
-    // reported deadlineMs = 0 even when one was configured); lanes
-    // with their own SLOs below can only raise it.
+    // Lanes with their own SLOs below can only raise the base deadline.
     rep.deadlineMs = cfg_.serving.deadlineMs;
     latenciesMs_.clear();
     queueDelaysMs_.clear();
@@ -819,36 +583,57 @@ OnlineServer::runMulti()
     struct Lane
     {
         int variant;
-        std::string name;
+        /** Variant name in traces, flight details and perVariant rows;
+         *  empty on the single-device lane, which reports none. */
+        std::string label;
         LoadGenerator gen;
+        double deadlineMs;
         std::deque<QueuedArrival> queued;
-        double deadlineSec;
         std::vector<double> latencies; ///< seconds, completion order
         std::size_t met = 0;
         std::size_t shed = 0;
 
-        Lane(int v, const VariantLoad &load, const ServingConfig &cfg)
-            : variant(v), name(load.variant),
-              gen(load.ratePerSec, load.numRequests, load.arrivalSeed,
-                  cfg.mmpp, cfg.diurnal),
-              deadlineSec(cfg.deadlineMs * 1e-3)
+        Lane(int v, std::string l, LoadGenerator g, double deadline_ms)
+            : variant(v), label(std::move(l)), gen(std::move(g)),
+              deadlineMs(deadline_ms)
         {}
     };
 
     std::vector<Lane> lanes;
-    lanes.reserve(cfg_.variants.size());
-    PolicySetup setup;
-    setup.lanes.reserve(cfg_.variants.size());
-    std::size_t total = 0;
-    for (const VariantLoad &load : cfg_.variants) {
-        const int v = engine_->variantIndex(load.variant);
-        const ServingConfig &vcfg = engine_->variantConfig(v);
-        lanes.emplace_back(v, load, vcfg);
-        setup.lanes.push_back(laneSpecFrom(load.variant, vcfg, cfg_));
-        rep.offeredRatePerSec += load.ratePerSec;
-        rep.deadlineMs = std::max(rep.deadlineMs, vcfg.deadlineMs);
-        total += load.numRequests;
+    if (engine_) {
+        lanes.reserve(cfg_.variants.size());
+        for (const VariantLoad &load : cfg_.variants) {
+            const int v = eng.variantIndex(load.variant);
+            const ServingConfig &vcfg = eng.variantConfig(v);
+            lanes.emplace_back(
+                v, load.variant,
+                LoadGenerator(load.ratePerSec, load.numRequests,
+                              load.arrivalSeed, vcfg.mmpp, vcfg.diurnal),
+                vcfg.deadlineMs);
+            rep.offeredRatePerSec += load.ratePerSec;
+        }
+    } else {
+        lanes.emplace_back(0, std::string(), sessionArrivals(cfg_),
+                           eng.variantConfig(0).deadlineMs);
+        rep.offeredRatePerSec = cfg_.arrivalRatePerSec;
     }
+
+    PolicySetup setup;
+    setup.lanes.reserve(lanes.size());
+    std::size_t total = 0;
+    std::size_t brownout_bound = 0;
+    for (const Lane &ln : lanes) {
+        const ServingConfig &vcfg = eng.variantConfig(ln.variant);
+        setup.lanes.push_back(
+            laneSpecFrom(eng.variantName(ln.variant), vcfg, cfg_));
+        rep.deadlineMs = std::max(rep.deadlineMs, vcfg.deadlineMs);
+        brownout_bound = std::max(brownout_bound, vcfg.maxQueueDepth);
+        total += ln.gen.remaining();
+    }
+    // The single-device lane shares the server's batcher (exposed via
+    // batcher()); variant lanes each own one.
+    if (!engine_)
+        setup.sharedBatcher = &batcher_;
     const std::unique_ptr<SchedulerPolicy> policy =
         buildPolicy(std::move(setup));
     rep.policy = policy->name();
@@ -861,18 +646,9 @@ OnlineServer::runMulti()
             cfg_.serving.resilience, lanes.size());
         resil->setFlightRecorder(flight_);
     }
-    std::size_t brownout_bound = 0;
-    for (const Lane &ln : lanes)
-        brownout_bound =
-            std::max(brownout_bound,
-                     engine_->variantConfig(ln.variant).maxQueueDepth);
 
-    const int num_streams = std::max(1, engine_->config().numStreams);
-    const double serial_frac = rt.spec().streamSerialFraction;
-
-    // The single-device overlap rule of runSingle, shared through
-    // OpenLoopClock and applied across lanes.
-    OpenLoopClock clock(num_streams, serial_frac);
+    const int num_streams = std::max(1, eng.config().numStreams);
+    OpenLoopClock clock(num_streams, rt.spec().streamSerialFraction);
 
     const std::uint64_t launches_before = rt.counters().total().launches;
     std::size_t shed_total = 0;
@@ -881,7 +657,9 @@ OnlineServer::runMulti()
 
     // Admit (or shed) every arrival the host clock has passed, across
     // lanes in global time order; each admitted request pays its
-    // modeled transfer on the serialized host clock.
+    // modeled host-to-device transfer on the serialized host clock,
+    // while shed arrivals never sample, never transfer, and never
+    // touch a queue.
     auto admit = [&]() {
         while (true) {
             std::size_t next = lanes.size();
@@ -906,10 +684,10 @@ OnlineServer::runMulti()
             if (!dec.admit) {
                 ++ln.shed;
                 ++shed_total;
-                if (ln.deadlineSec > 0.0)
+                if (ln.deadlineMs > 0.0)
                     any_deadline = true;
-                recordShed(flight_, engine_->reserveId(), arr,
-                           rt.deviceId(), dec.reason, ln.name);
+                recordShed(flight_, eng.reserveId(), arr, rt.deviceId(),
+                           dec.reason, ln.label);
                 if (resil)
                     resil->noteFailure(next, clock.hostFree, "shed");
                 continue;
@@ -917,12 +695,13 @@ OnlineServer::runMulti()
             if (resil)
                 resil->noteAdmit(next);
             const double host_before = rt.hostTimeMs() * 1e-3;
-            const std::uint64_t id = engine_->submit(ln.variant);
+            const std::uint64_t id = eng.submit(ln.variant);
             const double transfer = rt.hostTimeMs() * 1e-3 - host_before;
             clock.hostFree = std::max(clock.hostFree, arr) + transfer;
             if (flight_) {
                 flight_->event(id, "arrival", arr, rt.deviceId(),
-                               "variant=" + ln.name);
+                               ln.label.empty() ? std::string()
+                                                : "variant=" + ln.label);
                 flight_->event(id, "admission", clock.hostFree,
                                rt.deviceId(),
                                "transfer_ms=" +
@@ -959,22 +738,25 @@ OnlineServer::runMulti()
         return views;
     };
 
-    // Timeout cancellation per lane (see runSingle's failfast).
+    // Timeout cancellation: fail a lane's head fast while its remaining
+    // deadline budget cannot cover the policy's calibrated service
+    // estimate. Read-only unless it fires, so a run where no deadline
+    // ever expires keeps the pre-resilience timeline.
     auto failfast = [&]() {
         if (!resil)
             return;
         for (std::size_t i = 0; i < lanes.size(); ++i) {
             Lane &ln = lanes[i];
-            if (ln.deadlineSec <= 0.0)
+            if (ln.deadlineMs <= 0.0)
                 continue;
             while (!ln.queued.empty()) {
                 const QueuedArrival head = ln.queued.front();
                 const double est = policy->estimateServiceSec(i, 1);
                 if (!resil->deadlineExpired(head.arrivalSec,
-                                            ln.deadlineSec,
+                                            ln.deadlineMs * 1e-3,
                                             clock.hostFree, est))
                     break;
-                engine_->dropOldest(ln.variant, 1);
+                eng.dropOldest(ln.variant, 1);
                 ln.queued.pop_front();
                 resil->recordTimeout(head.id, i, rt.deviceId(),
                                      head.arrivalSec, clock.hostFree);
@@ -990,33 +772,33 @@ OnlineServer::runMulti()
     std::vector<double> queue_delays_sec;
     latencies_sec.reserve(total);
     queue_delays_sec.reserve(total);
-    std::size_t met = 0;
 
     while (served + shed_total + failed_total < total) {
         admit();
         failfast();
+        // Engine-wide backlog at every scheduling point, including the
+        // ones where every lane is blocked or still filling.
+        rep.peakQueueDepth = std::max(rep.peakQueueDepth, eng.queued());
         const std::vector<LaneView> views = lane_views();
         int li = policy->pickLane(views);
         if (li < 0) {
             const double na = next_arrival();
             if (std::isfinite(na)) {
-                // Idle (or wait-to-fill still filling): jump the host
-                // clock to the next arrival.
+                // Idle (or wait-to-fill still filling, or an open
+                // breaker): jump the host clock to the next arrival.
                 clock.hostFree = std::max(clock.hostFree, na);
                 rt.advanceTo(clock.hostFree);
                 continue;
             }
-            li = oldestLane(views); // forced progress
+            li = oldestLane(views); // forced progress (breaker probe)
             if (li < 0)
                 break; // nothing queued, nothing arriving
         }
-        Lane *lane = &lanes[static_cast<std::size_t>(li)];
+        const std::size_t l = static_cast<std::size_t>(li);
+        Lane &lane = lanes[l];
 
-        const std::size_t depth = lane->queued.size();
-        rep.peakQueueDepth =
-            std::max(rep.peakQueueDepth, engine_->queued());
-        rep.peakLaneQueueDepth =
-            std::max(rep.peakLaneQueueDepth, depth);
+        const std::size_t depth = lane.queued.size();
+        rep.peakLaneQueueDepth = std::max(rep.peakLaneQueueDepth, depth);
 
         if (resil) {
             std::size_t max_depth = 0;
@@ -1024,73 +806,66 @@ OnlineServer::runMulti()
                 max_depth = std::max(max_depth, ln.queued.size());
             resil->tickBrownout(max_depth, brownout_bound,
                                 clock.hostFree);
-            engine_->setDuplicationScale(resil->duplicationScale());
+            eng.setDuplicationScale(resil->duplicationScale());
         }
 
-        std::size_t batch = policy->pickBatch(
-            static_cast<std::size_t>(li),
-            views[static_cast<std::size_t>(li)]);
+        std::size_t batch = policy->pickBatch(l, views[l]);
         batch = std::max<std::size_t>(1, std::min(batch, depth));
 
         if (!cfg_.retainResults)
-            engine_->clearResults();
+            eng.clearResults();
 
-        // Hedge the head on a second stream (see runSingle).
+        // Hedge: the head request has waited past the EWMA-derived
+        // delay, so a backup copy runs on a second stream; the first
+        // completion wins. The primary result stays authoritative
+        // (hedgeOldest stores nothing), so outputs are bit-identical
+        // to the unhedged run by construction.
         const int s = clock.pickStream();
-        const QueuedArrival head = lane->queued.front();
+        const QueuedArrival head = lane.queued.front();
         bool hedged = false;
         BatchCost hedge_cost;
         int hs = -1;
         if (resil && resil->hedgeReady() && num_streams > 1) {
             const double waited = clock.hostFree - head.arrivalSec;
             if (waited > resil->hedgeDelaySec()) {
-                hs = s == 0 ? 1 : 0;
-                for (int i = 0; i < num_streams; ++i)
-                    if (i != s &&
-                        clock.streamFree[static_cast<std::size_t>(i)] <
-                            clock.streamFree[static_cast<std::size_t>(
-                                hs)])
-                        hs = i;
-                hedge_cost = engine_->hedgeOldest(lane->variant, hs);
+                hs = leastLoaded(clock.streamFree, s);
+                hedge_cost = eng.hedgeOldest(lane.variant, hs);
                 hedged = hedge_cost.requests > 0;
                 if (hedged)
-                    resil->recordHedge(head.id,
-                                       static_cast<std::size_t>(li),
-                                       rt.deviceId(), clock.hostFree,
-                                       waited);
+                    resil->recordHedge(head.id, l, rt.deviceId(),
+                                       clock.hostFree, waited);
             }
         }
 
-        const BatchCost cost =
-            engine_->serveOldest(lane->variant, batch, s);
+        const BatchCost cost = eng.serveOldest(lane.variant, batch, s);
         const OpenLoopClock::Issued t = clock.issue(cost, s);
         double head_done = t.done;
         if (hedged) {
-            const OpenLoopClock::Issued th =
-                clock.issue(hedge_cost, hs);
+            const OpenLoopClock::Issued th = clock.issue(hedge_cost, hs);
             const bool hedge_won = th.done < t.done;
             head_done = std::min(t.done, th.done);
-            resil->recordHedgeOutcome(head.id, rt.deviceId(),
-                                      head_done, hedge_won);
+            resil->recordHedgeOutcome(head.id, rt.deviceId(), head_done,
+                                      hedge_won);
             last_completion = std::max(last_completion, th.done);
         }
         rt.advanceTo(std::max(t.done, last_completion));
 
         if (obs::enabled())
             obs::tracer().complete(
-                "tick/" + lane->name, "online", t.execStart,
-                cost.execSec, rt.deviceId(), s,
+                lane.label.empty() ? std::string("tick")
+                                   : "tick/" + lane.label,
+                "online", t.execStart, cost.execSec, rt.deviceId(), s,
                 "\"batch\":" + std::to_string(batch));
 
-        policy->observe(static_cast<std::size_t>(li), cost);
+        policy->observe(l, cost);
         batchSizes_.push_back(batch);
         ++rep.ticks;
 
-        if (lane->deadlineSec > 0.0)
+        if (lane.deadlineMs > 0.0)
             any_deadline = true;
         for (std::size_t i = 0; i < batch; ++i) {
-            const QueuedArrival req = lane->queued.front();
-            lane->queued.pop_front();
+            const QueuedArrival req = lane.queued.front();
+            lane.queued.pop_front();
             const double done_at = i == 0 ? head_done : t.done;
             const double lat = done_at - req.arrivalSec;
             const double delay =
@@ -1099,9 +874,9 @@ OnlineServer::runMulti()
             queue_delays_sec.push_back(delay);
             latenciesMs_.push_back(lat * 1e3);
             queueDelaysMs_.push_back(delay * 1e3);
-            lane->latencies.push_back(lat);
-            if (lane->deadlineSec <= 0.0 || lat <= lane->deadlineSec)
-                ++lane->met;
+            lane.latencies.push_back(lat);
+            if (meetsDeadline(lat, lane.deadlineMs))
+                ++lane.met;
             if (resil)
                 resil->observeLatency(lat);
             if (flight_) {
@@ -1119,44 +894,39 @@ OnlineServer::runMulti()
         }
         served += batch;
         if (resil)
-            resil->noteSuccess(static_cast<std::size_t>(li), t.done);
+            resil->noteSuccess(l, t.done);
         last_completion = std::max(last_completion, t.done);
     }
 
     // Percentiles/means via the shared tail; attainment judges each
-    // request against its own variant's deadline, so the overall
-    // numbers are recomputed from the per-lane tallies below.
+    // request against its own lane's deadline, so the overall numbers
+    // are recomputed from the per-lane tallies below.
     finalizeOnlineReport(rep, served, last_completion, latencies_sec,
                          queue_delays_sec, 0.0, shed_total,
                          failed_total);
     applyResilienceStats(rep, resil.get());
-    if (any_deadline && !latencies_sec.empty()) {
-        met = 0;
-        for (const Lane &ln : lanes)
-            met += ln.met;
+    std::size_t met = 0;
+    for (const Lane &ln : lanes)
+        met += ln.met;
+    if (any_deadline && !latencies_sec.empty())
         rep.sloAttainment = static_cast<double>(met) /
                             static_cast<double>(latencies_sec.size());
-    }
     rep.admittedSloAttainment = rep.sloAttainment;
-    if ((shed_total > 0 || failed_total > 0) && any_deadline) {
-        std::size_t met_total = 0;
-        for (const Lane &ln : lanes)
-            met_total += ln.met;
+    if ((shed_total > 0 || failed_total > 0) && any_deadline)
         rep.sloAttainment =
-            static_cast<double>(met_total) /
+            static_cast<double>(met) /
             static_cast<double>(served + shed_total + failed_total);
-    }
 
     for (Lane &ln : lanes) {
-        if (ln.latencies.empty() && ln.shed == 0)
+        if (ln.label.empty() || (ln.latencies.empty() && ln.shed == 0))
             continue;
-        VariantReport vr = makeVariantReport(ln.name, ln.latencies,
-                                             ln.deadlineSec * 1e3);
+        VariantReport vr =
+            makeVariantReport(ln.label, ln.latencies, ln.deadlineMs);
         vr.requestsShed = ln.shed;
         rep.perVariant.push_back(std::move(vr));
     }
 
-    fillCacheStats(rep, engine_->planCache().stats());
+    fillCacheStats(rep, eng.planCache().stats());
     rep.launches = rt.counters().total().launches - launches_before;
     return rep;
 }
@@ -1192,12 +962,7 @@ OnlineServer::runSharded()
     if (total_requests == 0)
         return rep;
 
-    LoadGenerator gen =
-        cfg_.arrivalTrace.empty()
-            ? LoadGenerator(cfg_.arrivalRatePerSec, cfg_.numRequests,
-                            cfg_.arrivalSeed, cfg_.serving.mmpp,
-                            cfg_.serving.diurnal)
-            : LoadGenerator(cfg_.arrivalTrace);
+    LoadGenerator gen = sessionArrivals(cfg_);
 
     std::unique_ptr<ResilienceManager> resil;
     if (cfg_.serving.resilience.enabled) {
@@ -1214,18 +979,13 @@ OnlineServer::runSharded()
 
     // Multi-device open-loop timeline. The shared pieces stay shared:
     // one PCIe link admits arrivals (host_free) and the interconnect
-    // serializes per directed link. Per device, an own driver thread
-    // issues launches (issue_free), each stream runs one batch at a
-    // time (stream_free), and the device's contention floor gates
-    // overlapped execution (contend_free) — the same per-batch overlap
-    // rule as the single-device loop, instantiated per device.
-    std::vector<std::vector<double>> stream_free(
+    // serializes per directed link. Per device, the lane loop's
+    // OpenLoopClock: an own driver thread issues launches, each stream
+    // runs one batch at a time, and the device's contention floor
+    // gates overlapped execution.
+    std::vector<OpenLoopClock> clocks(
         static_cast<std::size_t>(devices),
-        std::vector<double>(static_cast<std::size_t>(num_streams), 0.0));
-    std::vector<double> issue_free(static_cast<std::size_t>(devices),
-                                   0.0);
-    std::vector<double> contend_free(static_cast<std::size_t>(devices),
-                                     0.0);
+        OpenLoopClock(num_streams, serial_frac));
     double host_free = 0.0;
 
     /** Arrival time and id of each queued request, FIFO per home
@@ -1367,7 +1127,7 @@ OnlineServer::runSharded()
         return views;
     };
 
-    // Timeout cancellation per device lane (see runSingle's failfast).
+    // Timeout cancellation per device lane (see runLanes' failfast).
     auto failfast = [&]() {
         if (!resil || deadline_sec <= 0.0)
             return;
@@ -1414,8 +1174,52 @@ OnlineServer::runSharded()
     double last_completion = 0.0;
     std::vector<double> latencies_sec;
     std::vector<double> queue_delays_sec;
-    latencies_sec.reserve(cfg_.numRequests);
-    queue_delays_sec.reserve(cfg_.numRequests);
+    latencies_sec.reserve(total_requests);
+    queue_delays_sec.reserve(total_requests);
+
+    /** Modeled timeline of one batch placed on a device. */
+    struct Placed
+    {
+        double issueDone = 0.0;
+        double commDone = 0.0;
+        double execStart = 0.0;
+        double execDone = 0.0;
+        /** Outputs resident on the all-gather root. */
+        double done = 0.0;
+    };
+    // One batch through device @p dev's clocks: issue on its driver
+    // thread, halo rows resident before the kernels start (rows owned
+    // by failed shards re-gather from the host store over this
+    // device's PCIe lanes instead of the interconnect), contended
+    // execution on @p stream, then all-gather onto @p root. The
+    // primary batch and its hedge copy both run through it.
+    auto place = [&](int dev, int stream, const ShardBatch &b, int root) {
+        OpenLoopClock &c = clocks[static_cast<std::size_t>(dev)];
+        Placed p;
+        p.issueDone = c.launch(b.cost.overheadSec, host_free);
+        p.commDone = p.issueDone;
+        for (const auto &[owner, bytes] : b.haloBytesByOwner) {
+            p.commDone = std::max(p.commDone,
+                                  group_->interconnect().transfer(
+                                      owner, dev, bytes, p.issueDone));
+            rep.haloBytes += bytes;
+        }
+        if (b.hostFallbackBytes > 0.0) {
+            sim::Runtime &drt = group_->device(dev);
+            const double t =
+                graph::hostTransferSec(b.hostFallbackBytes, drt.spec());
+            drt.hostOverhead(t);
+            p.commDone = std::max(p.commDone, p.issueDone + t);
+        }
+        const OpenLoopClock::Issued e =
+            c.run(b.cost.execSec, stream, p.commDone);
+        p.execStart = e.execStart;
+        p.execDone = e.done;
+        p.done = dev != root ? group_->interconnect().transfer(
+                                   dev, root, b.gatherBytes, e.done)
+                             : e.done;
+        return p;
+    };
 
     while (served + shed_total + failed_total < total_requests) {
         admit();
@@ -1483,12 +1287,7 @@ OnlineServer::runSharded()
         if (!cfg_.retainResults)
             sharded_->clearResults();
 
-        auto &streams = stream_free[static_cast<std::size_t>(d)];
-        int s = 0;
-        for (int i = 1; i < num_streams; ++i)
-            if (streams[static_cast<std::size_t>(i)] <
-                streams[static_cast<std::size_t>(s)])
-                s = i;
+        const int s = clocks[static_cast<std::size_t>(d)].pickStream();
 
         // Hedge: re-issue the waiting head on a second alive device
         // before serving the primary batch; the first completion wins
@@ -1518,14 +1317,9 @@ OnlineServer::runSharded()
                         hedge_dev = dd;
                 }
                 if (hedge_dev >= 0) {
-                    auto &hstreams =
-                        stream_free[static_cast<std::size_t>(
-                            hedge_dev)];
-                    for (int i = 1; i < num_streams; ++i)
-                        if (hstreams[static_cast<std::size_t>(i)] <
-                            hstreams[static_cast<std::size_t>(
-                                hedge_stream)])
-                            hedge_stream = i;
+                    hedge_stream =
+                        clocks[static_cast<std::size_t>(hedge_dev)]
+                            .pickStream();
                     hb = sharded_->hedgeOldestOn(d, hedge_dev,
                                                  hedge_stream);
                     hedged = hb.cost.requests > 0;
@@ -1538,105 +1332,29 @@ OnlineServer::runSharded()
         }
 
         const ShardBatch sb = sharded_->serveOldestOn(d, batch, s);
-        const double issue_start =
-            std::max(issue_free[static_cast<std::size_t>(d)], host_free);
-        const double issue_done = issue_start + sb.cost.overheadSec;
-        issue_free[static_cast<std::size_t>(d)] = issue_done;
-
-        // Halo rows must be resident before the batch's kernels start;
-        // rows owned by failed shards re-gather from the host store
-        // over this device's PCIe lanes instead of the interconnect.
-        double comm_done = issue_done;
-        for (const auto &[owner, bytes] : sb.haloBytesByOwner) {
-            comm_done = std::max(comm_done,
-                                 group_->interconnect().transfer(
-                                     owner, d, bytes, issue_done));
-            rep.haloBytes += bytes;
-        }
-        if (sb.hostFallbackBytes > 0.0) {
-            sim::Runtime &frt = group_->device(d);
-            const double t = graph::hostTransferSec(
-                sb.hostFallbackBytes, frt.spec());
-            frt.hostOverhead(t);
-            comm_done = std::max(comm_done, issue_done + t);
-        }
-
-        const double exec_start = std::max(
-            comm_done,
-            std::max(streams[static_cast<std::size_t>(s)],
-                     contend_free[static_cast<std::size_t>(d)]));
-        const double exec_done = exec_start + sb.cost.execSec;
-        streams[static_cast<std::size_t>(s)] = exec_done;
-        contend_free[static_cast<std::size_t>(d)] =
-            exec_start + serial_frac * sb.cost.execSec;
-
-        // All-gather the batch's outputs onto the root (device 0
-        // unless it has been quarantined, then the lowest survivor).
+        // All-gather root: device 0 unless it has been quarantined,
+        // then the lowest survivor.
         int root = 0;
         while (root < devices && sharded_->isDead(root))
             ++root;
         if (root >= devices)
             root = d;
-        const double done =
-            d != root ? group_->interconnect().transfer(
-                            d, root, sb.gatherBytes, exec_done)
-                      : exec_done;
+        const Placed pt = place(d, s, sb, root);
+        const double done = pt.done;
 
-        // The hedge copy runs through the SAME per-device clock
-        // machinery on its backup device: issue, halo, contention,
-        // gather to the root. First completion wins the race.
         double head_done = done;
         if (hedged) {
-            const std::size_t hd =
-                static_cast<std::size_t>(hedge_dev);
-            auto &hstreams = stream_free[hd];
-            const double h_issue_start =
-                std::max(issue_free[hd], host_free);
-            const double h_issue_done =
-                h_issue_start + hb.cost.overheadSec;
-            issue_free[hd] = h_issue_done;
-            double h_comm_done = h_issue_done;
-            for (const auto &[owner, bytes] : hb.haloBytesByOwner) {
-                h_comm_done =
-                    std::max(h_comm_done,
-                             group_->interconnect().transfer(
-                                 owner, hedge_dev, bytes,
-                                 h_issue_done));
-                rep.haloBytes += bytes;
-            }
-            if (hb.hostFallbackBytes > 0.0) {
-                sim::Runtime &hrt = group_->device(hedge_dev);
-                const double ht = graph::hostTransferSec(
-                    hb.hostFallbackBytes, hrt.spec());
-                hrt.hostOverhead(ht);
-                h_comm_done = std::max(h_comm_done, h_issue_done + ht);
-            }
-            const double h_exec_start = std::max(
-                h_comm_done,
-                std::max(hstreams[static_cast<std::size_t>(
-                             hedge_stream)],
-                         contend_free[hd]));
-            const double h_exec_done = h_exec_start + hb.cost.execSec;
-            hstreams[static_cast<std::size_t>(hedge_stream)] =
-                h_exec_done;
-            contend_free[hd] =
-                h_exec_start + serial_frac * hb.cost.execSec;
-            const double hedge_done =
-                hedge_dev != root
-                    ? group_->interconnect().transfer(
-                          hedge_dev, root, hb.gatherBytes,
-                          h_exec_done)
-                    : h_exec_done;
-            const bool hedge_won = hedge_done < done;
-            head_done = std::min(done, hedge_done);
+            const Placed ph = place(hedge_dev, hedge_stream, hb, root);
+            const bool hedge_won = ph.done < done;
+            head_done = std::min(done, ph.done);
             resil->recordHedgeOutcome(head.id, hedge_dev, head_done,
                                       hedge_won);
             if (obs::enabled())
                 obs::tracer().complete(
-                    "tick/hedge", "online", h_exec_start,
+                    "tick/hedge", "online", ph.execStart,
                     hb.cost.execSec, hedge_dev, hedge_stream,
                     "\"batch\":1");
-            last_completion = std::max(last_completion, hedge_done);
+            last_completion = std::max(last_completion, ph.done);
         }
         group_->advanceTo(std::max(done, last_completion));
 
@@ -1647,17 +1365,18 @@ OnlineServer::runSharded()
             return b;
         }();
         if (obs::enabled()) {
-            if (comm_done > issue_done)
+            if (pt.commDone > pt.issueDone)
                 obs::tracer().complete(
-                    "halo", "comm", issue_done, comm_done - issue_done,
-                    d, s, "\"bytes\":" + obs::jsonNum(halo_total));
+                    "halo", "comm", pt.issueDone,
+                    pt.commDone - pt.issueDone, d, s,
+                    "\"bytes\":" + obs::jsonNum(halo_total));
             obs::tracer().complete(
-                "tick", "online", exec_start, sb.cost.execSec, d, s,
+                "tick", "online", pt.execStart, sb.cost.execSec, d, s,
                 "\"batch\":" + std::to_string(batch));
             if (d != root)
                 obs::tracer().complete(
-                    "gather", "comm", exec_done, done - exec_done, d, s,
-                    "\"bytes\":" + obs::jsonNum(sb.gatherBytes));
+                    "gather", "comm", pt.execDone, done - pt.execDone, d,
+                    s, "\"bytes\":" + obs::jsonNum(sb.gatherBytes));
         }
 
         policy->observe(static_cast<std::size_t>(d), sb.cost);
@@ -1670,7 +1389,7 @@ OnlineServer::runSharded()
             const double done_at = i == 0 ? head_done : done;
             const double lat = done_at - req.arrivalSec;
             const double delay =
-                std::max(0.0, exec_start - req.arrivalSec);
+                std::max(0.0, pt.execStart - req.arrivalSec);
             latencies_sec.push_back(lat);
             queue_delays_sec.push_back(delay);
             latenciesMs_.push_back(lat * 1e3);
@@ -1678,10 +1397,10 @@ OnlineServer::runSharded()
             if (resil)
                 resil->observeLatency(lat);
             if (flight_) {
-                if (comm_done > issue_done)
-                    flight_->event(req.id, "halo", comm_done, d,
+                if (pt.commDone > pt.issueDone)
+                    flight_->event(req.id, "halo", pt.commDone, d,
                                    "bytes=" + obs::jsonNum(halo_total));
-                flight_->event(req.id, "exec-start", exec_start, d,
+                flight_->event(req.id, "exec-start", pt.execStart, d,
                                "stream=" + std::to_string(s));
                 if (d != root)
                     flight_->event(

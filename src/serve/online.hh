@@ -16,7 +16,9 @@
  *    an optional two-state MMPP mode (ServingConfig::mmpp) modulates
  *    the rate between baseline and burst states for bursty traffic,
  *    drawn from the same seeded stream;
- *  - OnlineServer wraps a ServingSession and serves in timed ticks:
+ *  - OnlineServer wraps a ServingSession (or, multi-tenant, an Engine)
+ *    and serves in timed ticks through one lane loop — one unlabelled
+ *    lane in single-device mode, one lane per variant otherwise:
  *    arrivals are admitted as the host clock passes them (each paying
  *    its modeled host-to-device transfer), one micro-batch is issued
  *    per tick, and completions are gated on host serialization, stream
@@ -34,11 +36,12 @@
  *    of growing with the queue.
  *
  * Constructed over a sim::DeviceGroup instead of a single Runtime, the
- * server drives a ShardedSession: arrivals are admitted on the shared
- * (PCIe) host clock and routed to their home shard, each device issues
- * batches on its own driver thread and streams, batch execution is
- * additionally gated on the halo exchange over the modeled
- * interconnect, and results all-gather onto device 0.
+ * server drives a ShardedSession through its own loop, one lane per
+ * device: arrivals are admitted on the shared (PCIe) host clock and
+ * routed to their home shard, each device issues batches on its own
+ * driver thread and streams (the lane loop's clock, per device), batch
+ * execution is additionally gated on the halo exchange over the
+ * modeled interconnect, and results all-gather onto device 0.
  */
 
 #ifndef HECTOR_SERVE_ONLINE_HH
@@ -356,22 +359,29 @@ class OnlineServer
     }
 
   private:
-    OnlineReport runSingle();
+    /** The lane tick loop: one unlabelled lane over the session's
+     *  engine (single-device) or one lane per VariantLoad. */
+    OnlineReport runLanes();
     OnlineReport runSharded();
-    OnlineReport runMulti();
 
     /** Resolve cfg_ (makePolicy > policy name > adaptive flag) into a
      *  policy instance over @p setup's lanes. */
     std::unique_ptr<SchedulerPolicy> buildPolicy(PolicySetup setup) const;
 
     OnlineConfig cfg_;
-    /** Exactly one of rt_/group_/engine_ (and the matching wrapped
-     *  object) is set. */
-    sim::Runtime *rt_ = nullptr;
+    /**
+     * The mode: exactly one of session_ (single device), group_ +
+     * sharded_ (sharded) or engine_ (multi-tenant) is set. The single
+     * device and multi-tenant modes both serve through runLanes();
+     * engine_ stays null in single-device mode so engine() keeps
+     * throwing there.
+     */
     sim::DeviceGroup *group_ = nullptr;
     Engine *engine_ = nullptr;
     std::unique_ptr<ServingSession> session_;
     std::unique_ptr<ShardedSession> sharded_;
+    /** Cost model shared by every lane of the single-device and
+     *  sharded modes (multi-tenant lanes each own one). */
     AdaptiveBatcher batcher_;
 
     std::vector<double> latenciesMs_;

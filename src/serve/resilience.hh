@@ -7,7 +7,9 @@
  * (bounded queues, shedding); this module defends the *individual
  * request* end to end. It sits between arrival generation and the
  * Engine / ShardedSession, entirely on the virtual clock, and owns
- * four mechanisms the tick loops in online.cc consult per tick:
+ * four mechanisms the two tick loops in online.cc (the lane loop of
+ * the single-device and multi-tenant modes, and the sharded loop)
+ * consult per tick:
  *
  *  - deadline fail-fast: a queued request whose remaining budget
  *    cannot cover the policy's calibrated service estimate is failed
@@ -84,8 +86,8 @@ struct ResilienceStats
  * OnlineServer::run() when ResilienceConfig::enabled; the tick loops
  * call into it at admission, scheduling, and completion points. All
  * event emission (flight recorder, tracer instants carrying
- * args.reason, metrics counters) funnels through here so the three
- * loops cannot drift.
+ * args.reason, metrics counters) funnels through here so the lane and
+ * sharded loops cannot drift.
  */
 class ResilienceManager
 {
@@ -199,8 +201,9 @@ class ResilienceManager
     /**
      * Re-evaluate the brownout level from the deepest lane queue
      * (@p depth) against the admission bound (@p bound; 0 = no bound,
-     * never browns). Level transitions are audited; ticks at level > 0
-     * count toward brownoutTicks.
+     * never browns). The loops call it once per issued batch; level
+     * transitions are audited, and ticks at level > 0 count toward
+     * brownoutTicks.
      */
     void tickBrownout(std::size_t depth, std::size_t bound,
                       double now_sec);

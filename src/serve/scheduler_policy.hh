@@ -12,8 +12,9 @@
  * factory under a name, select it via OnlineConfig::policy (or inject
  * a factory directly through OnlineConfig::makePolicy).
  *
- * One policy instance drives all three serving modes through the same
- * four decision points:
+ * One policy instance drives all three serving modes — single-device
+ * and multi-tenant through the one lane loop, sharded through the
+ * per-device loop — through the same four decision points:
  *
  *  - admit():     accept or shed an arrival (bounded queue /
  *                 deadline-infeasible drop, per the lane's ShedMode);

@@ -188,24 +188,6 @@ ShardedSession::aliveCount() const
     return n;
 }
 
-bool
-ShardedSession::shouldDuplicate()
-{
-    const double f = cfg_.serving.duplicationFraction * dupScale_;
-    if (f <= 0.0)
-        return false;
-    // Error diffusion: of the first k primary batches, exactly
-    // round(k * f) dual-issue, with no RNG — the sampling pattern is a
-    // pure function of the call sequence, so a fault run replays
-    // identically at any thread count.
-    dupAccum_ += f;
-    if (dupAccum_ >= 1.0 - 1e-12) {
-        dupAccum_ -= 1.0;
-        return true;
-    }
-    return false;
-}
-
 std::vector<Tensor>
 ShardedSession::runBatch(const core::CompiledModel &plan,
                          const std::vector<const Request *> &reqs, int d)
@@ -523,12 +505,9 @@ ShardedSession::drain()
                 "\"bytes\":" + obs::jsonNum(device_halo));
 
         // Compute: this device's own driver thread and streams, on the
-        // shared overlap rule, starting once the halo is resident.
-        // Primary runs may be sandwiched by the ASPIS-style redundancy
-        // machinery: a scheduled transient corrupts the primary's
-        // output, a deterministically sampled duplicate re-executes and
-        // compares checksums, and a detected mismatch replays a third
-        // time (the replay is served — bit-identical to fault-free).
+        // shared overlap rule, starting once the halo is resident. Each
+        // batch is one guardedRun (primary, sampled duplicate, replay
+        // on a detected mismatch); the scheduler run indices follow.
         struct Runs
         {
             int primary = -1;
@@ -539,47 +518,33 @@ ShardedSession::drain()
         std::vector<std::vector<Tensor>> outs(batches.size());
         int run_idx = 0;
         for (std::size_t b = 0; b < batches.size(); ++b) {
-            const bool hit = fi && fi->armTransient(d);
-            const std::uint64_t ord = fi ? fi->batchOrdinal(d) : 0;
+            const auto exec = [&](std::vector<Tensor> &dst) {
+                sched.run([&]() { dst = runBatch(*plan, batches[b], d); });
+            };
             runs[b].primary = run_idx++;
-            sched.run([&, b]() {
-                outs[b] = runBatch(*plan, batches[b], d);
-            });
-            if (hit)
-                fi->corruptBatch(outs[b], d, host_end);
-            if (shouldDuplicate()) {
-                ++report.duplicatesIssued;
-                if (fi)
-                    fi->noteDuplicate(d, host_end, ord);
-                std::vector<Tensor> dup;
-                runs[b].dup = run_idx++;
-                sched.run([&]() {
-                    dup = runBatch(*plan, batches[b], d);
-                });
-                const std::uint64_t lhs = tensor::checksum(outs[b]);
-                const std::uint64_t rhs = tensor::checksum(dup);
-                if (lhs != rhs) {
-                    ++report.transientsDetected;
-                    if (fi)
-                        fi->noteDetection(d, host_end, ord, lhs, rhs);
+            const GuardedRun g = guardedRun(
+                exec, outs[b], d, host_end, fi,
+                sampleDuplicate(cfg_.serving.duplicationFraction *
+                                    dupScale_,
+                                dupAccum_),
+                [&](std::uint64_t ord) {
                     if (obs::enabled())
                         obs::tracer().instant(
                             "fault.detect", "serve", host_end, d, 0,
                             "\"batch\":" + std::to_string(ord));
-                    runs[b].replay = run_idx++;
-                    sched.run([&, b]() {
-                        outs[b] = runBatch(*plan, batches[b], d);
-                    });
-                    if (fi)
-                        fi->noteReplay(d, host_end, "transient");
-                    report.requestsReplayed += batches[b].size();
-                    if (flight_)
-                        for (const Request *r : batches[b])
-                            flight_->event(r->id, "replay", host_end,
-                                           d, "why=transient");
-                }
-            } else if (hit) {
-                fi->noteEscape(d, host_end, ord);
+                });
+            if (g.duplicated) {
+                runs[b].dup = run_idx++;
+                ++report.duplicatesIssued;
+            }
+            if (g.replayed) {
+                runs[b].replay = run_idx++;
+                ++report.transientsDetected;
+                report.requestsReplayed += batches[b].size();
+                if (flight_)
+                    for (const Request *r : batches[b])
+                        flight_->event(r->id, "replay", host_end, d,
+                                       "why=transient");
             }
         }
 
@@ -978,53 +943,25 @@ ShardedSession::serveOldestOn(int device, std::size_t n, int stream)
                                dout_bytes;
 
     sim::Runtime &rt = group_.device(device);
-    sim::FaultInjector *fi = group_.faultInjector();
+    // Guarded like drain(); all runs serialize on this stream, so
+    // their cost folds into the batch's cost the online layer charges.
     std::vector<Tensor> outs;
     const auto run_once = [&](std::vector<Tensor> &dst) {
-        return runOnStream(rt, stream, [&]() {
+        const StreamRunCost run = runOnStream(rt, stream, [&]() {
             auto scope = rt.memoryScope();
             dst = runBatch(*plan, reqs, device);
         });
+        out.cost.execSec += run.execSec;
+        out.cost.overheadSec += run.overheadSec;
     };
-    const StreamRunCost run = run_once(outs);
-    out.cost.execSec = run.execSec;
-    out.cost.overheadSec = run.overheadSec;
-
-    // ASPIS sandwich, same semantics as drain(): scheduled transient
-    // corrupts the primary output, a sampled duplicate detects by
-    // checksum compare, a detection replays (and the replay is
-    // served). All runs serialize on this stream, so their cost folds
-    // into the batch's cost the online layer charges.
-    const bool hit = fi && fi->armTransient(device);
-    const std::uint64_t ord = fi ? fi->batchOrdinal(device) : 0;
-    if (hit)
-        fi->corruptBatch(outs, device, group_.nowSec());
-    if (shouldDuplicate()) {
-        if (fi)
-            fi->noteDuplicate(device, group_.nowSec(), ord);
-        std::vector<Tensor> dup;
-        const StreamRunCost r2 = run_once(dup);
-        out.cost.execSec += r2.execSec;
-        out.cost.overheadSec += r2.overheadSec;
-        const std::uint64_t lhs = tensor::checksum(outs);
-        const std::uint64_t rhs = tensor::checksum(dup);
-        if (lhs != rhs) {
-            if (fi)
-                fi->noteDetection(device, group_.nowSec(), ord, lhs,
-                                  rhs);
-            const StreamRunCost r3 = run_once(outs);
-            out.cost.execSec += r3.execSec;
-            out.cost.overheadSec += r3.overheadSec;
-            if (fi)
-                fi->noteReplay(device, group_.nowSec(), "transient");
-            if (flight_)
-                for (const Request *r : reqs)
-                    flight_->event(r->id, "replay", group_.nowSec(),
-                                   device, "why=transient");
-        }
-    } else if (hit) {
-        fi->noteEscape(device, group_.nowSec(), ord);
-    }
+    const GuardedRun g = guardedRun(
+        run_once, outs, device, group_.nowSec(), group_.faultInjector(),
+        sampleDuplicate(cfg_.serving.duplicationFraction * dupScale_,
+                        dupAccum_));
+    if (g.replayed && flight_)
+        for (const Request *r : reqs)
+            flight_->event(r->id, "replay", group_.nowSec(), device,
+                           "why=transient");
     {
         tensor::TrackerScope untracked(nullptr);
         for (std::size_t i = 0; i < n; ++i)

@@ -31,6 +31,10 @@
  * so there structure transfers serialize globally (see
  * OnlineServer::runSharded).
  *
+ * Every primary batch, in drain() and serveOldestOn() alike, runs
+ * under serve::guardedRun — the one ASPIS duplicate -> checksum ->
+ * replay routine the Engine uses too.
+ *
  * Compute parallelizes the same way: each device runs its own
  * StreamScheduler (own driver thread, own streams) on the shared
  * virtual clock, which is where the multi-device speedup comes from.
@@ -302,9 +306,6 @@ class ShardedSession
     std::vector<std::pair<int, double>>
     batchHaloBytes(const std::vector<const Request *> &reqs, int home,
                    double *host_fallback_bytes) const;
-    /** Deterministic dual-issue sampling (error diffusion over
-     *  cfg.serving.duplicationFraction). */
-    bool shouldDuplicate();
     /** Execute @p reqs as one micro-batch on device @p d. */
     std::vector<tensor::Tensor>
     runBatch(const core::CompiledModel &plan,

@@ -7,7 +7,9 @@
  * server produces bit-identical per-request results to closed-loop
  * drain cycles, SLO attainment is monotone non-increasing in offered
  * load, and the simulated virtual clock advances monotonically to the
- * run's makespan. Everything here is deterministic under fixed seeds.
+ * run's makespan. The single-device server and a one-variant Engine
+ * run through the same lane loop and must agree field for field.
+ * Everything here is deterministic under fixed seeds.
  */
 
 #include <gtest/gtest.h>
@@ -424,6 +426,221 @@ TEST(OnlineServer, ZeroRequestsReturnsEmptyReport)
     EXPECT_EQ(rep.throughputReqPerSec, 0.0);
     EXPECT_EQ(rep.sloAttainment, 1.0);
     EXPECT_TRUE(std::isfinite(rep.meanLatencyMs));
+}
+
+// ------------------------------------------- one lane loop, two fronts
+
+/** The single-device server's run, and the same load served through a
+ *  one-variant Engine with a matching VariantLoad. */
+struct LanePair
+{
+    serve::OnlineReport single;
+    serve::OnlineReport engine;
+    std::vector<double> singleLat, engineLat;
+    std::vector<double> singleDelay, engineDelay;
+    std::vector<std::size_t> singleBatches, engineBatches;
+};
+
+LanePair
+runBothFronts(const graph::HeteroGraph &g, const Tensor &features,
+              const serve::OnlineConfig &cfg)
+{
+    LanePair out;
+    {
+        sim::Runtime rt;
+        serve::OnlineServer server(g, features, models::kRgcnSource, cfg,
+                                   rt);
+        out.single = server.run();
+        out.singleLat = server.latenciesMs();
+        out.singleDelay = server.queueDelaysMs();
+        out.singleBatches = server.batchSizes();
+    }
+    {
+        sim::Runtime rt;
+        serve::EngineConfig ec;
+        ec.numStreams = cfg.serving.numStreams;
+        ec.planBudgetBytes = cfg.serving.planBudgetBytes;
+        ec.autotuneSchedules = cfg.serving.autotuneSchedules;
+        serve::Engine engine(g, ec, rt);
+        engine.registerVariant("rgcn", features, models::kRgcnSource,
+                               cfg.serving);
+        serve::OnlineConfig mcfg = cfg;
+        mcfg.variants.push_back({"rgcn", cfg.arrivalRatePerSec,
+                                 cfg.numRequests, cfg.arrivalSeed});
+        serve::OnlineServer server(engine, mcfg);
+        out.engine = server.run();
+        out.engineLat = server.latenciesMs();
+        out.engineDelay = server.queueDelaysMs();
+        out.engineBatches = server.batchSizes();
+    }
+    return out;
+}
+
+/** Every scalar OnlineReport field, compared exactly. */
+void
+expectSameScalars(const serve::OnlineReport &a,
+                  const serve::OnlineReport &b, const std::string &tag)
+{
+#define HECTOR_SAME(field) EXPECT_EQ(a.field, b.field) << tag << ": " #field
+    HECTOR_SAME(requests);
+    HECTOR_SAME(batches);
+    HECTOR_SAME(makespanMs);
+    HECTOR_SAME(throughputReqPerSec);
+    HECTOR_SAME(meanLatencyMs);
+    HECTOR_SAME(p50LatencyMs);
+    HECTOR_SAME(p95LatencyMs);
+    HECTOR_SAME(p99LatencyMs);
+    HECTOR_SAME(p999LatencyMs);
+    HECTOR_SAME(maxLatencyMs);
+    HECTOR_SAME(meanQueueDelayMs);
+    HECTOR_SAME(sloAttainment);
+    HECTOR_SAME(msPerRequest);
+    HECTOR_SAME(cacheHits);
+    HECTOR_SAME(cacheMisses);
+    HECTOR_SAME(cacheRecompiles);
+    HECTOR_SAME(cacheEvictions);
+    HECTOR_SAME(cacheResidentBytes);
+    HECTOR_SAME(launches);
+    HECTOR_SAME(offeredRatePerSec);
+    HECTOR_SAME(deadlineMs);
+    HECTOR_SAME(ticks);
+    HECTOR_SAME(meanBatchSize);
+    HECTOR_SAME(peakQueueDepth);
+    HECTOR_SAME(lastArrivalMs);
+    HECTOR_SAME(devices);
+    HECTOR_SAME(haloBytes);
+    HECTOR_SAME(interconnectMs);
+    HECTOR_SAME(devicesFailed);
+    HECTOR_SAME(requestsRerouted);
+    HECTOR_SAME(requestsShed);
+    HECTOR_SAME(shedFraction);
+    HECTOR_SAME(admittedSloAttainment);
+    HECTOR_SAME(peakLaneQueueDepth);
+    HECTOR_SAME(policy);
+    HECTOR_SAME(requestsRetried);
+    HECTOR_SAME(requestsHedged);
+    HECTOR_SAME(hedgeWins);
+    HECTOR_SAME(requestsTimedOut);
+    HECTOR_SAME(requestsFailed);
+    HECTOR_SAME(breakerOpens);
+    HECTOR_SAME(brownoutTicks);
+#undef HECTOR_SAME
+}
+
+/** The overload scenario of the resilience suite: a 0.3 ms deadline,
+ *  a bounded queue and hedging under a 200k req/s burst. */
+serve::OnlineConfig
+overloadConfig()
+{
+    serve::OnlineConfig cfg = onlineConfig(64, 200000.0);
+    cfg.policy = "adaptive";
+    cfg.serving.deadlineMs = 0.3;
+    cfg.serving.maxQueueDepth = 12;
+    cfg.serving.shed = serve::ShedMode::RejectNewest;
+    cfg.serving.resilience.enabled = true;
+    cfg.serving.resilience.hedge = true;
+    cfg.serving.resilience.hedgeDelayFactor = 1.0;
+    cfg.serving.duplicationFraction = 0.5;
+    return cfg;
+}
+
+TEST(OnlineServer, SingleDeviceMatchesOneVariantEngine)
+{
+    graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 71);
+
+    struct Scenario
+    {
+        std::string name;
+        serve::OnlineConfig cfg;
+    };
+    std::vector<Scenario> scenarios;
+    for (const char *policy : {"fixed", "adaptive"}) {
+        for (double deadline : {0.0, 0.5}) {
+            serve::OnlineConfig cfg = onlineConfig(48, 100000.0);
+            cfg.policy = policy;
+            cfg.serving.deadlineMs = deadline;
+            scenarios.push_back({std::string(policy) + " deadline=" +
+                                     std::to_string(deadline),
+                                 cfg});
+        }
+    }
+    {
+        serve::OnlineConfig cfg = onlineConfig(64, 200000.0);
+        cfg.serving.deadlineMs = 0.3;
+        cfg.serving.maxQueueDepth = 8;
+        cfg.serving.shed = serve::ShedMode::DeadlineInfeasible;
+        scenarios.push_back({"shedding", cfg});
+    }
+    {
+        serve::OnlineConfig cfg = onlineConfig(96, 40000.0);
+        cfg.serving.maxQueueDepth = 12;
+        cfg.serving.shed = serve::ShedMode::RejectNewest;
+        cfg.serving.resilience.enabled = true;
+        cfg.serving.resilience.hedge = true;
+        cfg.serving.resilience.hedgeDelayFactor = 0.5;
+        cfg.serving.resilience.brownoutHighWatermark = 1.0;
+        scenarios.push_back({"resilience+hedge", cfg});
+    }
+    scenarios.push_back({"overload", overloadConfig()});
+
+    std::size_t hedged = 0;
+    std::size_t shed = 0;
+    for (const Scenario &sc : scenarios) {
+        const LanePair p = runBothFronts(g, host, sc.cfg);
+        hedged += p.single.requestsHedged;
+        shed += p.single.requestsShed;
+        ASSERT_GT(p.single.requests, 0u) << sc.name;
+        EXPECT_EQ(p.singleLat, p.engineLat) << sc.name;
+        EXPECT_EQ(p.singleDelay, p.engineDelay) << sc.name;
+        EXPECT_EQ(p.singleBatches, p.engineBatches) << sc.name;
+        expectSameScalars(p.single, p.engine, sc.name);
+        // The single-device lane is unlabelled: no per-variant rows.
+        EXPECT_TRUE(p.single.perVariant.empty()) << sc.name;
+        EXPECT_EQ(p.engine.perVariant.size(), 1u) << sc.name;
+    }
+    // The matrix exercised what it claims to.
+    EXPECT_GT(hedged, 0u);
+    EXPECT_GT(shed, 0u);
+}
+
+TEST(OnlineServer, OneLanePeakQueueDepthMatchesLanePeak)
+{
+    // peakQueueDepth is sampled at every scheduling point, including
+    // the ones where the only lane is blocked or still waiting, so on a
+    // one-lane run it cannot fall below the lane's own peak.
+    graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 73);
+    const LanePair p = runBothFronts(g, host, overloadConfig());
+    EXPECT_GT(p.engine.requestsShed, 0u);
+    EXPECT_EQ(p.engine.peakQueueDepth, p.engine.peakLaneQueueDepth);
+    EXPECT_EQ(p.single.peakQueueDepth, p.single.peakLaneQueueDepth);
+}
+
+TEST(MeetsDeadline, OnePredicateJudgesTheBoundary)
+{
+    // On this pair the seconds form (lat <= D * 1e-3) and the
+    // milliseconds form (lat * 1e3 <= D) disagree; every report path
+    // uses the milliseconds form through meetsDeadline.
+    const double deadline_ms = 0.9395020081555747;
+    const double lat_sec = 0.0009395020081555748;
+    ASSERT_NE(lat_sec <= deadline_ms * 1e-3, lat_sec * 1e3 <= deadline_ms);
+    EXPECT_FALSE(serve::meetsDeadline(lat_sec, deadline_ms));
+    EXPECT_TRUE(serve::meetsDeadline(lat_sec, 0.0))
+        << "no deadline: every request is on time";
+    EXPECT_TRUE(serve::meetsDeadline(0.0005, 0.5));
+    EXPECT_FALSE(serve::meetsDeadline(0.0006, 0.5));
+
+    // The per-variant row and the report-level attainment judge a
+    // request sitting exactly on that boundary alike.
+    std::vector<double> lats{lat_sec, 0.0001};
+    const serve::VariantReport vr =
+        serve::makeVariantReport("v", lats, deadline_ms);
+    serve::ServingReport rep;
+    serve::fillLatencyStats(rep, {lat_sec, 0.0001}, {0.0, 0.0},
+                            deadline_ms);
+    EXPECT_EQ(vr.sloAttainment, 0.5);
+    EXPECT_EQ(rep.sloAttainment, vr.sloAttainment);
 }
 
 } // namespace

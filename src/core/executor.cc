@@ -187,7 +187,6 @@ ExecutionContext::lookup(const std::string &name) const
 namespace
 {
 
-using tensor::blocked::kBlockK;
 using tensor::blocked::packPanel;
 using tensor::blocked::panelFor;
 

@@ -2,30 +2,21 @@
  * @file
  * Portable SIMD micro-kernels behind a runtime dispatch shim.
  *
- * The hot inner bodies of the tensor kernels (packed-panel GEMM rows,
- * row axpy, elementwise maps) are one of two shapes:
- *
- *  - axpy family: y[j] (+)= f(x[j]) per output element j. Elements are
- *    independent, so vectorizing the j loop performs exactly one
- *    multiply rounding and one add rounding per element — the same
- *    bits as the scalar loop at every lane width, provided the
- *    compiler never contracts mul+add into an FMA (the build passes
- *    -ffp-contract=off, and the intrinsic paths use explicit mul/add).
- *    These kernels claim BITWISE identity with the seed and are on by
- *    default (HECTOR_SIMD=on).
- *
- *  - reduction family: acc = sum_j a[j]*b[j] (rowDot). Lane partials +
- *    a horizontal reduce re-associate the sum, which changes the bits.
- *    These kernels are gated behind HECTOR_SIMD=fast and carry a
- *    documented tolerance (|err| <= 4 * eps * sum|a[j]*b[j]|) that the
- *    bench and tests enforce; the default mode keeps the seed's
- *    left-to-right scalar order.
+ * The executor's blocked GEMM paths (core/executor.cc) run two inner
+ * bodies: the packed-panel row kernel (rowPanel) for identity and
+ * scatter outputs, and axpy (axpyRange) for weight-gradient rows.
+ * Both are of the form y[j] += a * x[j] per output element j.
+ * Elements are independent, so vectorizing the j loop performs
+ * exactly one multiply rounding and one add rounding per element —
+ * the same bits as the scalar loop at every lane width, provided the
+ * compiler never contracts mul+add into an FMA (the build passes
+ * -ffp-contract=off, and the intrinsic paths use explicit mul/add).
  *
  * Dispatch: the best ISA (AVX2 on x86-64 via __builtin_cpu_supports,
  * NEON on aarch64, portable scalar otherwise) is resolved once per
- * process into a function-pointer table; setSimdMode(Off) flips the
- * table back to the scalar reference so benches can measure the scalar
- * blocked baseline in the same binary.
+ * process into a function-pointer table. GemmSchedule::vecWidth == 1
+ * forces the scalar row kernel (rowPanelWith), so the scalar and the
+ * vector kernel can be timed in the same binary.
  */
 
 #ifndef HECTOR_TENSOR_SIMD_HH
@@ -36,37 +27,11 @@
 namespace hector::tensor::simd
 {
 
-/** HECTOR_SIMD modes. */
-enum class SimdMode
-{
-    Off,  ///< scalar reference kernels only
-    On,   ///< bitwise-safe vector kernels (default)
-    Fast, ///< additionally enable tolerance-class reductions
-};
-
-/**
- * Parse a HECTOR_SIMD value. nullptr/empty returns the default (On).
- * Anything else must be exactly "off", "on" or "fast"; malformed
- * values throw std::invalid_argument naming the variable and the
- * offending value — a typo'd mode must fail loudly, not silently
- * serve scalar.
- */
-SimdMode parseSimdEnv(const char *value);
-
-/** Active mode: setSimdMode override, else HECTOR_SIMD, else On. */
-SimdMode simdMode();
-
-/** Override the mode (benches, tests). Takes effect immediately. */
-void setSimdMode(SimdMode mode);
-
 /** Name of the dispatched ISA: "avx2", "neon" or "portable". */
 const char *isaName();
 
 /** Lane count of the dispatched ISA (8 for AVX2, 4 for NEON, 1). */
 int vectorWidth();
-
-/** True when mode is Fast (tolerance-class reductions active). */
-bool fastModeActive();
 
 /**
  * Row x packed-panel micro-kernel — the inner two loops of every
@@ -92,33 +57,6 @@ void rowPanelWith(int vec_width, float *y, const float *xrow,
 
 /** y[j] += a * x[j] (bitwise-safe). */
 void axpyRange(float *y, float a, const float *x, std::int64_t n);
-
-/** y[j] += x[j] (bitwise-safe). */
-void addRange(float *y, const float *x, std::int64_t n);
-
-/** y[j] *= x[j] (bitwise-safe). */
-void mulRange(float *y, const float *x, std::int64_t n);
-
-/** y[j] *= a (bitwise-safe). */
-void scaleRange(float *y, float a, std::int64_t n);
-
-/** y[j] = y[j] > 0 ? y[j] : 0 (bitwise-safe). */
-void reluRange(float *y, std::int64_t n);
-
-/** y[j] = y[j] > 0 ? y[j] : slope * y[j] (bitwise-safe). */
-void leakyReluRange(float *y, float slope, std::int64_t n);
-
-/** dy[j] *= x[j] > 0 ? 1 : slope (bitwise-safe). */
-void leakyReluBackwardRange(float *dy, const float *x, float slope,
-                            std::int64_t n);
-
-/**
- * Tolerance-class dot product: lane partials + horizontal reduce.
- * Documented bound vs the seed's left-to-right order:
- * |fast - seed| <= 4 * eps * sum_j |a[j] * b[j]|. Only reachable in
- * Fast mode; callers in On mode keep the scalar reference.
- */
-float dotFast(const float *a, const float *b, std::int64_t n);
 
 } // namespace hector::tensor::simd
 

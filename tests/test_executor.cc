@@ -2,16 +2,19 @@
  * @file
  * Executor tests: single-instance semantics against direct tensor
  * math, access-scheme resolution, per-row scalar fusion, memory
- * accounting of variable materialization, and cost bookkeeping.
+ * accounting of variable materialization, cost bookkeeping, and bit
+ * identity of the blocked SIMD GEMM paths with the seed oracle.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "core/compiler.hh"
 #include "core/executor.hh"
 #include "graph/datasets.hh"
 #include "models/models.hh"
-#include "tensor/ops.hh"
+#include "util/thread_pool.hh"
 
 namespace
 {
@@ -40,14 +43,16 @@ edgeProgram(std::int64_t din, std::int64_t dout, Materialization msg_mat)
 
 struct Env
 {
-    graph::HeteroGraph g = graph::toyCitationGraph();
+    graph::HeteroGraph g;
     graph::CompactionMap cmap{g};
     sim::Runtime rt;
     models::WeightMap weights;
     models::WeightMap grads;
     ExecutionContext ctx;
 
-    explicit Env(const Program &p)
+    explicit Env(const Program &p,
+                 graph::HeteroGraph graph = graph::toyCitationGraph())
+        : g(std::move(graph))
     {
         std::mt19937_64 rng(17);
         weights = models::initWeights(p, g, rng);
@@ -349,6 +354,97 @@ TEST(Executor, MemoryScopeCountsMaterializedVariables)
     ctx.ensureTensor(p, "msg");
     EXPECT_EQ(rt.tracker().liveBytes(),
               static_cast<std::size_t>(g.numEdges()) * 8 * 4);
+}
+
+/** Restores global kernel knobs however a test exits. */
+struct KnobGuard
+{
+    ~KnobGuard()
+    {
+        util::setSeedKernelMode(false);
+        util::setGlobalThreads(0);
+    }
+};
+
+/**
+ * The blocked GEMM paths against the seed oracle, bit for bit: an
+ * identity-output GEMM (rowPanel), a per-row-scaled colliding
+ * dst-scatter GEMM (rowPanel over full-k panels) and a weight-gradient
+ * outer GEMM (axpyRange), at 1/2/4 threads with the dispatched (0) and
+ * the forced scalar (1) row kernel. Every third feature row is zero,
+ * so the zero-skip runs in every kernel; ragged dims cover vector
+ * tails, and the graph's many small edge types mix blocked and
+ * seed-order segments.
+ */
+TEST(Executor, GemmPathsBitwiseVsSeedAtThreadsAndVecWidths)
+{
+    KnobGuard guard;
+    for (std::int64_t din : {1, 7, 17, 64}) {
+        for (std::int64_t dout : {1, 7, 17, 64}) {
+            Program p = edgeProgram(din, dout, Materialization::Vanilla);
+            p.declareVar("msg_grad", {VarSpace::EdgeData, dout, false,
+                                      Materialization::Vanilla});
+            Env env(p, graph::generate(graph::datasetSpec("aifb"),
+                                       1.0 / 16.0));
+            Tensor &f = env.ctx.tensors.at("feature");
+            for (std::int64_t v = 0; v < f.dim(0); v += 3)
+                std::memset(f.row(v), 0,
+                            static_cast<std::size_t>(din) * sizeof(float));
+            std::mt19937_64 rng(37);
+            const std::int64_t edges = env.g.numEdges();
+            env.ctx.tensors.emplace(
+                "scalar", Tensor::uniform({edges, 1}, rng, 1.0f));
+            env.ctx.tensors.emplace(
+                "msg_grad", Tensor::uniform({edges, dout}, rng, 1.0f));
+
+            GemmInstance fwd = edgeGemm(p);
+            GemmInstance scatter = edgeGemm(p);
+            scatter.perRowScalarVar = "scalar";
+            scatter.yVar = "agg";
+            scatter.yAccess = AccessScheme::ScatterDstAtomic;
+            scatter.yAccumulate = true;
+            GemmInstance outer = edgeGemm(p);
+            outer.kind = GemmKind::Outer;
+            outer.y2Var = "msg_grad";
+            outer.yVar = "W";
+
+            // Runs all three from fresh outputs; returns their bytes.
+            auto run = [&](int vec_width) {
+                env.ctx.tensors.erase("msg");
+                env.ctx.tensors.erase("agg");
+                env.grads.clear();
+                std::vector<float> out;
+                for (GemmInstance gi : {fwd, scatter, outer}) {
+                    gi.sched.vecWidth = vec_width;
+                    execGemm(p, gi, env.ctx);
+                }
+                for (const Tensor *t :
+                     {&env.ctx.tensors.at("msg"),
+                      &env.ctx.tensors.at("agg"), &env.grads.at("W")})
+                    out.insert(out.end(), t->data(),
+                               t->data() + t->numel());
+                return out;
+            };
+
+            util::setSeedKernelMode(true);
+            util::setGlobalThreads(1);
+            const std::vector<float> oracle = run(0);
+            util::setSeedKernelMode(false);
+            for (int threads : {1, 2, 4}) {
+                util::setGlobalThreads(threads);
+                for (int vec_width : {1, 0}) {
+                    const std::vector<float> got = run(vec_width);
+                    ASSERT_EQ(got.size(), oracle.size());
+                    EXPECT_EQ(std::memcmp(got.data(), oracle.data(),
+                                          got.size() * sizeof(float)),
+                              0)
+                        << "din=" << din << " dout=" << dout
+                        << " threads=" << threads
+                        << " vecWidth=" << vec_width;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

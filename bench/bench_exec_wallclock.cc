@@ -25,7 +25,7 @@
 #include "core/compiler.hh"
 #include "core/jit.hh"
 #include "obs/trace.hh"
-#include "serve/session.hh"
+#include "serve/engine.hh"
 #include "tensor/simd.hh"
 #include "util/thread_pool.hh"
 
@@ -87,8 +87,8 @@ runConfig(const Config &c, models::ModelKind m, const BenchGraph &bg,
         cfg.sample.fanout = 4;
         cfg.seed = 1337; // identical request stream per config
         cfg.useArena = c.useArena;
-        serve::ServingSession session(bg.g, host_features, modelSource(m),
-                                      cfg, rt);
+        serve::Engine eng(bg.g, serve::engineConfigFor(cfg), rt);
+        eng.registerVariant("default", host_features, modelSource(m), cfg);
 
         // Time the drains only: coalescing, the executor's kernel
         // bodies, and result scatter — the paths this engine owns.
@@ -99,9 +99,9 @@ runConfig(const Config &c, models::ModelKind m, const BenchGraph &bg,
         for (int cyc = 0; cyc < cycles; ++cyc) {
             last_ids.clear();
             for (int i = 0; i < requests; ++i)
-                last_ids.push_back(session.submit());
+                last_ids.push_back(eng.submit(0));
             const auto t0 = std::chrono::steady_clock::now();
-            (void)session.drain();
+            (void)eng.drain();
             const auto t1 = std::chrono::steady_clock::now();
             wall_ms +=
                 std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -109,7 +109,7 @@ runConfig(const Config &c, models::ModelKind m, const BenchGraph &bg,
 
         std::vector<float> outputs;
         for (std::uint64_t id : last_ids) {
-            const tensor::Tensor *out = session.result(id);
+            const tensor::Tensor *out = eng.result(id);
             if (!out)
                 continue;
             outputs.insert(outputs.end(), out->data(),

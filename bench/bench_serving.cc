@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-runtime benchmark: modeled throughput and latency of the
- * ServingSession across micro-batch sizes and stream counts.
+ * one-variant Engine across micro-batch sizes and stream counts.
  *
  * Not a paper figure — this extends the reproduction toward the
  * production-serving north star: many independent neighborhood
@@ -15,7 +15,7 @@
 #include "bench_common.hh"
 
 #include "models/model_sources.hh"
-#include "serve/session.hh"
+#include "serve/engine.hh"
 
 using namespace hector;
 using namespace hector::bench;
@@ -81,11 +81,12 @@ main()
             cfg.sample.numSeeds = 16;
             cfg.sample.fanout = 4;
             cfg.seed = 1337; // identical request stream per config
-            serve::ServingSession session(bg.g, host_features,
-                                          modelSource(m), cfg, rt);
+            serve::Engine eng(bg.g, serve::engineConfigFor(cfg), rt);
+            eng.registerVariant("default", host_features, modelSource(m),
+                                cfg);
             for (int i = 0; i < requests; ++i)
-                session.submit();
-            const serve::ServingReport rep = session.drain();
+                eng.submit(0);
+            const serve::ServingReport rep = eng.drain();
             if (m == models::ModelKind::Rgat) {
                 if (c.batch == 1 && c.streams == 1)
                     rgat_unbatched = rep;

@@ -8,7 +8,7 @@
  *  1. correctness gate — every request served through the shared
  *     engine (interleaved traffic, autotuned schedules ON) must be
  *     bitwise identical to the same request served by a dedicated
- *     single-variant session; any divergence exits nonzero;
+ *     single-variant engine; any divergence exits nonzero;
  *
  *  2. budget gate — a 4 MiB plan-cache budget under a 3-variant
  *     rotation must actually bound residentBytes at every cycle
@@ -35,7 +35,6 @@
 #include "obs/trace.hh"
 #include "serve/engine.hh"
 #include "serve/online.hh"
-#include "serve/session.hh"
 #include "sim/counters.hh"
 #include "util/thread_pool.hh"
 
@@ -120,21 +119,22 @@ main()
     bool failed = false;
 
     // --------------------------------------------- 1. correctness gate
-    // Dedicated per-variant oracles (fresh sessions, default
+    // Dedicated per-variant oracles (fresh one-variant engines, default
     // schedules), then the shared engine with interleaved traffic and
     // autotuned schedules.
     std::vector<std::vector<tensor::Tensor>> oracle(kVariants.size());
     for (std::size_t i = 0; i < kVariants.size(); ++i) {
         sim::Runtime rt = makeRuntime(scale);
-        serve::ServingSession session(bg.g, featuresFor(bg.g, kVariants[i]),
-                                      modelSource(kVariants[i].kind),
-                                      configFor(kVariants[i], scale), rt);
+        const serve::ServingConfig vcfg = configFor(kVariants[i], scale);
+        serve::Engine solo(bg.g, serve::engineConfigFor(vcfg), rt);
+        solo.registerVariant("default", featuresFor(bg.g, kVariants[i]),
+                             modelSource(kVariants[i].kind), vcfg);
         std::vector<std::uint64_t> ids;
         for (std::size_t r = 0; r < per_variant; ++r)
-            ids.push_back(session.submit());
-        session.drain();
+            ids.push_back(solo.submit(0));
+        solo.drain();
         for (std::uint64_t id : ids)
-            oracle[i].push_back(session.result(id)->clone());
+            oracle[i].push_back(solo.result(id)->clone());
     }
 
     sim::Runtime rt = makeRuntime(scale);

@@ -5,7 +5,8 @@
  * multi-stream execution.
  *
  * Demonstrates the serving runtime end to end:
- *   1. a ServingSession over a host-resident graph + features,
+ *   1. an Engine serving one model variant over a host-resident
+ *      graph + features,
  *   2. submit() sampling per-request subgraphs (paying the modeled
  *      PCIe transfer),
  *   3. drain() compiling the plan once through the PlanCache, then
@@ -19,7 +20,7 @@
 
 #include "graph/datasets.hh"
 #include "models/model_sources.hh"
-#include "serve/session.hh"
+#include "serve/engine.hh"
 
 int
 main()
@@ -45,15 +46,16 @@ main()
     cfg.dout = dim;
     cfg.sample.numSeeds = 32;
     cfg.sample.fanout = 8;
-    serve::ServingSession session(g, host_features, models::kRgatSource,
-                                  cfg, rt);
+    serve::Engine eng(g, serve::engineConfigFor(cfg), rt);
+    const int rgat = eng.registerVariant("rgat", host_features,
+                                         models::kRgatSource, cfg);
 
     std::printf("\ncycle 1: 24 queries, micro-batch<=%zu, %d streams\n",
                 cfg.maxBatch, cfg.numStreams);
     std::uint64_t last_id = 0;
     for (int i = 0; i < 24; ++i)
-        last_id = session.submit();
-    serve::ServingReport rep = session.drain();
+        last_id = eng.submit(rgat);
+    serve::ServingReport rep = eng.drain();
     std::printf("  %zu requests in %zu batches, %llu kernel launches\n",
                 rep.requests, rep.batches,
                 static_cast<unsigned long long>(rep.launches));
@@ -65,7 +67,7 @@ main()
                 static_cast<unsigned long long>(rep.cacheMisses),
                 static_cast<unsigned long long>(rep.cacheHits));
 
-    const tensor::Tensor *out = session.result(last_id);
+    const tensor::Tensor *out = eng.result(last_id);
     std::printf("  last query answered %lld nodes; output row 0: ",
                 static_cast<long long>(out->dim(0)));
     for (std::int64_t j = 0; j < 4; ++j)
@@ -74,8 +76,8 @@ main()
 
     std::printf("\ncycle 2: 8 more queries reuse the cached plan\n");
     for (int i = 0; i < 8; ++i)
-        session.submit();
-    rep = session.drain();
+        eng.submit(rgat);
+    rep = eng.drain();
     std::printf("  %zu requests, %.4f ms/request, plan cache: %llu miss "
                 "(unchanged), %llu hits\n",
                 rep.requests, rep.msPerRequest,

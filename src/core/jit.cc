@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "core/compiler.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "tensor/simd.hh"
 #include "util/json_log.hh"
 
 #if defined(_WIN32)
@@ -81,6 +83,60 @@ hex64(std::uint64_t v)
  */
 const char *const kBaseFlags =
     "-std=c++17 -O3 -ffp-contract=off -shared -fPIC";
+
+/** The --version probe of the host compiler, run once per process:
+ *  whether it answered, and the first line of its answer. */
+struct Toolchain
+{
+    bool available = false;
+    std::string version;
+};
+
+const Toolchain &
+toolchain()
+{
+    static const Toolchain cached = []() {
+        Toolchain t;
+#if defined(HECTOR_JIT_HAVE_DLOPEN)
+        const std::string cmd = compilerCommand() + " --version 2>/dev/null";
+        if (FILE *p = ::popen(cmd.c_str(), "r")) {
+            bool first_line = true;
+            for (int c; (c = std::fgetc(p)) != EOF;) {
+                if (c == '\n')
+                    first_line = false;
+                else if (first_line)
+                    t.version += static_cast<char>(c);
+            }
+            t.available = ::pclose(p) == 0;
+        }
+#endif
+        return t;
+    }();
+    return cached;
+}
+
+/** The host CPU's feature list: the Linux /proc/cpuinfo flags (x86)
+ *  or Features (Arm) line, else the SIMD dispatch ISA. */
+std::string
+cpuFeatures()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("flags", 0) == 0 || line.rfind("Features", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            if (colon != std::string::npos)
+                return line.substr(colon + 1);
+        }
+    return tensor::simd::isaName();
+}
+
+/** Hash of everything an artifact's name covers except its source. */
+std::uint64_t
+identitySeed(const std::string &identity)
+{
+    return fnv1a(fnv1a(0xcbf29ce484222325ull, kBaseFlags), identity);
+}
 
 /** In-process memo: content hash -> live module. */
 std::mutex memo_mu;
@@ -169,16 +225,22 @@ setJitMode(JitMode mode)
 bool
 toolchainAvailable()
 {
-#if defined(HECTOR_JIT_HAVE_DLOPEN)
-    static const bool cached = []() {
-        const std::string cmd =
-            compilerCommand() + " --version >/dev/null 2>&1";
-        return std::system(cmd.c_str()) == 0;
-    }();
+    return toolchain().available;
+}
+
+const std::string &
+hostIdentity()
+{
+    static const std::string cached = compilerCommand() + "\n" +
+                                      toolchain().version + "\n" +
+                                      cpuFeatures();
     return cached;
-#else
-    return false;
-#endif
+}
+
+std::string
+artifactStem(const std::string &source, const std::string &identity)
+{
+    return "hector_jit_" + hex64(fnv1a(identitySeed(identity), source));
 }
 
 std::string
@@ -226,8 +288,10 @@ compileModule(const std::string &source)
     if (source.empty())
         return nullptr;
 
-    const std::uint64_t h =
-        fnv1a(fnv1a(0xcbf29ce484222325ull, source), kBaseFlags);
+    // The identity part of the hash is computed once per process, so
+    // a recompile on the request path hashes only its source.
+    static const std::uint64_t seed = identitySeed(hostIdentity());
+    const std::uint64_t h = fnv1a(seed, source);
 
     std::lock_guard<std::mutex> lock(memo_mu);
     auto mit = memo.find(h);

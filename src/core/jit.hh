@@ -16,13 +16,15 @@
  *
  * Artifacts are content-addressed: the .so (and its .cc, kept for
  * debugging) land in HECTOR_JIT_DIR (default: a per-user directory
- * under the system temp dir) named by an FNV-1a hash of source +
- * flags, so repeated compiles of the same specialization — across
- * processes and CI steps — reload from disk instead of re-invoking
- * the compiler. In-process, modules are additionally memoized under a
- * weak_ptr table: a plan evicted from the byte-budgeted PlanCache
- * drops the last shared_ptr and the module dlcloses; pinned in-flight
- * plans keep it loaded by construction.
+ * under the system temp dir) named by an FNV-1a hash of source,
+ * flags and hostIdentity(), so repeated compiles of the same
+ * specialization — across processes and CI steps — reload from disk
+ * instead of re-invoking the compiler, while an artifact built by
+ * another compiler or for another CPU never loads. In-process,
+ * modules are additionally memoized under a weak_ptr table: a plan
+ * evicted from the byte-budgeted PlanCache drops the last shared_ptr
+ * and the module dlcloses; pinned in-flight plans keep it loaded by
+ * construction.
  *
  * Every degraded path — HECTOR_JIT=off, no toolchain, a failed
  * compile or dlopen — falls back to the generic blocked kernels and
@@ -78,6 +80,21 @@ bool toolchainAvailable();
 
 /** Directory JIT artifacts are written to (HECTOR_JIT_DIR override). */
 std::string artifactDir();
+
+/**
+ * What this process's artifacts are built for: the compiler command,
+ * the first line of its --version, and the host CPU's features (the
+ * Linux /proc/cpuinfo flags, else the SIMD dispatch ISA). Computed
+ * once per process. Part of every artifact name, so a restored
+ * artifact directory (a CI cache from another runner, say) never
+ * dlopens code built for a foreign ISA or compiler.
+ */
+const std::string &hostIdentity();
+
+/** File stem of @p source's artifact when built under @p identity
+ *  (compileModule uses hostIdentity()). */
+std::string artifactStem(const std::string &source,
+                         const std::string &identity);
 
 /**
  * Specialized GEMM row kernel: y[j] += (scale * x[kk]) * panel[kk *

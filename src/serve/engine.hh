@@ -4,8 +4,7 @@
  *
  * Production RGNN serving faces heterogeneous traffic — different
  * models, different feature dimensions, different compile options —
- * against one host-resident graph. The Engine owns what the
- * single-model ServingSession used to hard-wire: a registry of named
+ * against one host-resident graph. The Engine owns a registry of named
  * *model variants* (model source x CompileOptions x din/dout), one
  * bounded PlanCache shared across them, per-variant weights / request
  * RNG / pooled arena ExecutionContexts, and per-variant FIFO queues.
@@ -13,7 +12,7 @@
  * coalesces only same-variant requests: a drain cycle interleaves the
  * per-variant batches over the shared streams in global submission
  * order, so per-request outputs stay bit-identical to a dedicated
- * single-variant session at any thread count.
+ * one-variant engine at any thread count.
  *
  * Two policies ride on the registry:
  *
@@ -31,9 +30,9 @@
  *    executor's blocked GEMM consumes the schedule's k-block, which
  *    never changes output bits (see tensor::blocked::kBlockFor).
  *
- * ServingSession and ShardedSession are façades over this machinery:
- * the session wraps an Engine with one registered variant, the sharded
- * session shares the weight-construction helper and the PlanCompiler.
+ * A single-model deployment is an Engine with one registered variant
+ * ("default" in the single-device OnlineServer); ShardedSession shares
+ * the weight-construction helper and the PlanCompiler.
  */
 
 #ifndef HECTOR_SERVE_ENGINE_HH
@@ -246,7 +245,7 @@ struct ServingConfig
 
 /**
  * Validate @p cfg, throwing std::invalid_argument naming the offending
- * field. Every serving entry point (ServingSession, ShardedSession,
+ * field. Every serving entry point (ShardedSession,
  * Engine::registerVariant, OnlineServer) validates through here, so a
  * zero maxBatch or negative deadline fails loudly at construction
  * instead of silently misbehaving mid-serve.
@@ -259,12 +258,12 @@ void validateServingConfig(const ServingConfig &cfg, const char *who);
  * The single construction path for per-variant weights: parse the
  * pristine (pre-pass) program — so weights match what a training
  * pipeline would have produced — and draw every parameter from @p rng
- * in declaration order. ServingSession (via the engine), ShardedSession
- * and the Engine registry all build weights here; the caller seeds
- * @p rng with the variant's ServingConfig::seed *before* this call and
- * keeps drawing its request-sampling stream from the same generator
- * after it, which is what makes a dedicated session and an engine
- * variant serve identical request streams with identical weights.
+ * in declaration order. ShardedSession and the Engine registry both
+ * build weights here; the caller seeds @p rng with the variant's
+ * ServingConfig::seed *before* this call and keeps drawing its
+ * request-sampling stream from the same generator after it, which is
+ * what makes a sharded session and an engine variant serve identical
+ * request streams with identical weights.
  */
 models::WeightMap initVariantWeights(const std::string &model_source,
                                      std::int64_t din, std::int64_t dout,
@@ -350,7 +349,7 @@ void fillLatencyStats(ServingReport &report,
 
 /** Copy @p stats into the report's cache* fields — the one place the
  *  plan-cache counters map onto reports, shared by every serving
- *  path (engine/session drain, sharded drain, all online modes). */
+ *  path (engine drain, sharded drain, all online modes). */
 void fillCacheStats(ServingReport &report, const PlanCache::Stats &stats);
 
 /**
@@ -492,11 +491,23 @@ struct EngineConfig
     bool autotuneSchedules = false;
 };
 
+/** The engine knobs of a one-variant deployment of @p cfg: its
+ *  streams, plan budget and autotune switch. */
+inline EngineConfig
+engineConfigFor(const ServingConfig &cfg)
+{
+    EngineConfig ec;
+    ec.numStreams = cfg.numStreams;
+    ec.planBudgetBytes = cfg.planBudgetBytes;
+    ec.autotuneSchedules = cfg.autotuneSchedules;
+    return ec;
+}
+
 /**
  * The multi-tenant serving engine. One host graph, one simulated
  * device, N registered model variants served through one bounded
- * PlanCache. See the file comment for the design; ServingSession is
- * the single-variant façade.
+ * PlanCache. See the file comment for the design; a single-model
+ * deployment is an Engine with one registered variant.
  */
 class Engine
 {

@@ -21,16 +21,6 @@ namespace hector::serve
 // ------------------------------------------------------------ LoadGenerator
 
 LoadGenerator::LoadGenerator(double rate_per_sec, std::size_t count,
-                             std::uint64_t seed)
-    : LoadGenerator(rate_per_sec, count, seed, MmppSpec{})
-{}
-
-LoadGenerator::LoadGenerator(double rate_per_sec, std::size_t count,
-                             std::uint64_t seed, const MmppSpec &mmpp)
-    : LoadGenerator(rate_per_sec, count, seed, mmpp, DiurnalSpec{})
-{}
-
-LoadGenerator::LoadGenerator(double rate_per_sec, std::size_t count,
                              std::uint64_t seed, const MmppSpec &mmpp,
                              const DiurnalSpec &diurnal)
     : ratePerSec_(rate_per_sec), left_(count), rng_(seed), mmpp_(mmpp),
@@ -163,13 +153,6 @@ LoadGenerator::next()
 
 std::vector<double>
 LoadGenerator::arrivals(double rate_per_sec, std::size_t count,
-                        std::uint64_t seed)
-{
-    return arrivals(rate_per_sec, count, seed, MmppSpec{});
-}
-
-std::vector<double>
-LoadGenerator::arrivals(double rate_per_sec, std::size_t count,
                         std::uint64_t seed, const MmppSpec &mmpp)
 {
     LoadGenerator gen(rate_per_sec, count, seed, mmpp);
@@ -185,61 +168,9 @@ LoadGenerator::arrivals(double rate_per_sec, std::size_t count,
 namespace
 {
 
-/**
- * Shared finalization tail of the tick loops: rate and batch-size
- * metrics, the per-request latency statistics via fillLatencyStats (so
- * the drain and online paths cannot drift), and the shedding
- * statistics — admittedSloAttainment keeps the admitted-only
- * attainment, while sloAttainment counts shed arrivals as misses
- * (denominator = offered), which reduces to the historical value
- * whenever nothing was shed.
- */
-void
-finalizeOnlineReport(OnlineReport &rep, std::size_t served,
-                     double last_completion_sec,
-                     const std::vector<double> &latencies_sec,
-                     const std::vector<double> &queue_delays_sec,
-                     double deadline_ms, std::size_t shed,
-                     std::size_t failed = 0)
-{
-    rep.requests = served;
-    rep.batches = rep.ticks;
-    rep.makespanMs = last_completion_sec * 1e3;
-    rep.throughputReqPerSec =
-        last_completion_sec > 0.0
-            ? static_cast<double>(served) / last_completion_sec
-            : 0.0;
-    rep.msPerRequest =
-        served ? rep.makespanMs / static_cast<double>(served) : 0.0;
-    rep.meanBatchSize =
-        rep.ticks ? static_cast<double>(served) /
-                        static_cast<double>(rep.ticks)
-                  : 0.0;
-    fillLatencyStats(rep, latencies_sec, queue_delays_sec, deadline_ms);
-
-    rep.requestsShed = shed;
-    rep.admittedSloAttainment = rep.sloAttainment;
-    // Resilience-failed requests (timeouts, exhausted retries) were
-    // admitted, so they stay out of shedFraction but count as misses
-    // in the offered-denominator sloAttainment, exactly like sheds.
-    const std::size_t offered = served + shed + failed;
-    rep.shedFraction =
-        offered > 0
-            ? static_cast<double>(shed) / static_cast<double>(offered)
-            : 0.0;
-    if ((shed > 0 || failed > 0) && deadline_ms > 0.0) {
-        std::size_t met = 0;
-        for (double l : latencies_sec)
-            if (meetsDeadline(l, deadline_ms))
-                ++met;
-        rep.sloAttainment = static_cast<double>(met) /
-                            static_cast<double>(offered);
-    }
-}
-
 /** Arrival time and request id of one queued arrival (FIFO entries of
- *  the tick loops; the id attributes flight-recorder lifecycle events
- *  to the engine-assigned request). */
+ *  the tick loop; the id attributes flight-recorder lifecycle events
+ *  to the backend-assigned request). */
 struct QueuedArrival
 {
     double arrivalSec = 0.0;
@@ -264,13 +195,28 @@ leastLoaded(const std::vector<double> &free_at, int skip = -1)
     return best;
 }
 
+/** Modeled timeline of one batch placed on a device's clocks. */
+struct Placed
+{
+    double issueDone = 0.0;
+    /** Inputs resident: issue end, or the last halo row's arrival. */
+    double commDone = 0.0;
+    double execStart = 0.0;
+    double execDone = 0.0;
+    /** Outputs resident on the all-gather root. */
+    double done = 0.0;
+    /** The outputs travelled to another device (all-gather). */
+    bool gathered = false;
+};
+
 /**
  * Open-loop clocks of one device: one host thread issues launches
  * (hostFree), each stream runs one batch at a time (streamFree), and
  * the serialized fraction of every kernel occupies a device-wide
  * shared resource (contendFree) — Runtime::makespanSec's overlap rule,
- * applied per batch. The lane loop runs one; the sharded loop runs one
- * per device, with hostFree as that device's driver thread.
+ * applied per batch. The engine backend runs one, whose issuing thread
+ * is also the admission thread; the sharded backend runs one per
+ * device, with hostFree as that device's driver thread.
  */
 struct OpenLoopClock
 {
@@ -286,12 +232,6 @@ struct OpenLoopClock
 
     int pickStream() const { return leastLoaded(streamFree); }
 
-    struct Issued
-    {
-        double execStart = 0.0;
-        double done = 0.0;
-    };
-
     /** Serialize @p overhead_sec of launches on the issuing thread,
      *  starting no earlier than @p not_before; returns issue end. */
     double
@@ -301,25 +241,16 @@ struct OpenLoopClock
         return hostFree;
     }
 
-    /** Execute @p exec_sec on @p stream once its inputs are @p ready. */
-    Issued
-    run(double exec_sec, int stream, double ready)
+    /** Execute @p exec_sec on @p stream once @p p's inputs are
+     *  resident (its commDone); fills its execStart and execDone. */
+    void
+    run(double exec_sec, int stream, Placed &p)
     {
         double &sf = streamFree[static_cast<std::size_t>(stream)];
-        Issued t;
-        t.execStart = std::max(ready, std::max(sf, contendFree));
-        t.done = t.execStart + exec_sec;
-        sf = t.done;
-        contendFree = t.execStart + serialFrac * exec_sec;
-        return t;
-    }
-
-    /** Launch then run one batch on @p stream. */
-    Issued
-    issue(const BatchCost &cost, int stream)
-    {
-        return run(cost.execSec, stream,
-                   launch(cost.overheadSec, hostFree));
+        p.execStart = std::max(p.commDone, std::max(sf, contendFree));
+        p.execDone = p.execStart + exec_sec;
+        sf = p.execDone;
+        contendFree = p.execStart + serialFrac * exec_sec;
     }
 };
 
@@ -426,6 +357,826 @@ validatePolicyName(const OnlineConfig &cfg)
             "'");
 }
 
+/** The cost model the single-device and sharded lanes share. */
+AdaptiveBatcher
+sharedBatcher(const OnlineConfig &cfg)
+{
+    return AdaptiveBatcher(std::max<std::size_t>(1, cfg.serving.maxBatch),
+                           cfg.serving.deadlineMs * 1e-3, cfg.ewmaAlpha,
+                           cfg.deadlineBudgetFraction,
+                           cfg.serving.maxQueueDepth > 0 &&
+                               cfg.serving.shed != ShedMode::None);
+}
+
+/** The single-device server's engine: @p cfg is validated first, so a
+ *  bad config throws before any engine state is built, then served as
+ *  the one variant "default". */
+std::unique_ptr<Engine>
+defaultEngine(const graph::HeteroGraph &g, tensor::Tensor host_features,
+              std::string model_source, const ServingConfig &cfg,
+              sim::Runtime &rt)
+{
+    validateServingConfig(cfg, "OnlineServer");
+    auto eng = std::make_unique<Engine>(g, engineConfigFor(cfg), rt);
+    eng->registerVariant("default", std::move(host_features),
+                         std::move(model_source), cfg);
+    return eng;
+}
+
+/**
+ * The one open-loop tick loop of every serving mode. Each pass admits
+ * (or sheds) the arrivals the clock has reached, fails fast the heads
+ * that can no longer meet their deadline, and lets the policy pick a
+ * lane, jumping the clock to the next arrival or backoff expiry when
+ * none is ready. The picked lane then ticks: brownout, one
+ * policy-sized micro-batch, an optional hedge of its head, placement
+ * on the modeled clocks, and one completion record per request.
+ *
+ * A lane is a queue the policy picks from: one per engine variant, or
+ * one per device of a sharded session. The virtual hooks are what
+ * differs between those two backends (EngineLoop, ShardedLoop).
+ */
+class TickLoop
+{
+  public:
+    TickLoop(const OnlineConfig &cfg, obs::FlightRecorder *flight)
+        : cfg_(cfg), flight_(flight)
+    {
+        rep_.deadlineMs = cfg.serving.deadlineMs;
+    }
+    virtual ~TickLoop() = default;
+    TickLoop(const TickLoop &) = delete;
+    TickLoop &operator=(const TickLoop &) = delete;
+
+    /** Serve every arrival to completion under @p policy, built over
+     *  `setup`. */
+    OnlineReport run(std::unique_ptr<SchedulerPolicy> policy);
+
+    /** The policy's view of the lanes, in lane order. */
+    PolicySetup setup;
+
+    /** Per-request latencies and queueing delays (ms) and per-tick
+     *  micro-batch sizes of the run. */
+    std::vector<double> latenciesMs;
+    std::vector<double> queueDelaysMs;
+    std::vector<std::size_t> batchSizes;
+
+  protected:
+    struct Lane
+    {
+        /** Variant name in traces, flight details and perVariant rows;
+         *  empty on unlabelled lanes, which report none. */
+        std::string label;
+        double deadlineMs = 0.0;
+        int device = 0;
+        std::deque<QueuedArrival> queued;
+        std::vector<double> latencies; ///< seconds, completion order
+        std::size_t shed = 0;
+    };
+
+    using SubmitInfo = ShardedSession::SubmitInfo;
+
+    /** Where a hedge copy of a lane's head runs. */
+    struct HedgeTarget
+    {
+        int device = 0;
+        int stream = 0;
+    };
+
+    /** Append a lane on @p device with @p scfg's knobs, announced to
+     *  the policy as @p name. */
+    void
+    addLane(std::string label, const std::string &name,
+            const ServingConfig &scfg, int device)
+    {
+        Lane ln;
+        ln.label = std::move(label);
+        ln.deadlineMs = scfg.deadlineMs;
+        ln.device = device;
+        lanes_.push_back(std::move(ln));
+        setup.lanes.push_back(laneSpecFrom(name, scfg, cfg_));
+        rep_.deadlineMs = std::max(rep_.deadlineMs, scfg.deadlineMs);
+        brownoutBound_ = std::max(brownoutBound_, scfg.maxQueueDepth);
+    }
+
+    /** Count one admitted request of lane @p l failed by resilience. */
+    void
+    noteFailed(std::size_t l)
+    {
+        ++failed_;
+        if (lanes_[l].deadlineMs > 0.0)
+            anyDeadline_ = true;
+    }
+
+    /// @name Backend hooks.
+    /// @{
+    /** Admission horizon: every arrival at or before it is admitted. */
+    virtual double now() const = 0;
+    virtual void advanceTo(double t) = 0;
+    virtual std::size_t queued() const = 0;
+    virtual std::uint64_t reserveId() = 0;
+    /** Sample, transfer and enqueue one arrival of arrivals_[@p src];
+     *  a routed request's lane is the device it was routed to. */
+    virtual SubmitInfo submit(std::size_t src) = 0;
+    virtual void dropOldest(std::size_t l) = 0;
+    /** Fire due device failures and refresh the routing mask. */
+    virtual void pollFailures() {}
+    virtual void setDuplicationScale(double scale) = 0;
+    virtual void clearResults() = 0;
+    virtual int pickStream(std::size_t l) const = 0;
+    /** Where to hedge lane @p l's head (primary on @p stream); false
+     *  when there is no second stream or device to run it on. */
+    virtual bool hedgeTarget(std::size_t l, int stream,
+                             HedgeTarget &out) const = 0;
+    virtual ShardBatch serveOldest(std::size_t l, std::size_t n,
+                                   int stream) = 0;
+    virtual ShardBatch hedgeOldest(std::size_t l, HedgeTarget t) = 0;
+    /** Charge @p b, served on @p device's @p stream, to the clocks. */
+    virtual Placed place(const ShardBatch &b, int device, int stream) = 0;
+    /** Backend counters of the run: cache stats, launches, links. */
+    virtual void finish(OnlineReport &rep) = 0;
+    /// @}
+
+    const OnlineConfig &cfg_;
+    obs::FlightRecorder *flight_;
+    /** Open-loop arrival processes: arrivals_[i] feeds lane i, or,
+     *  when routed_, arrivals_[0] feeds every lane and submit() picks
+     *  each admitted request's lane. */
+    std::vector<LoadGenerator> arrivals_;
+    bool routed_ = false;
+    std::vector<Lane> lanes_;
+    OnlineReport rep_;
+    std::unique_ptr<ResilienceManager> resil_;
+    /** The admission thread's clock; submit transfers serialize on it. */
+    double hostFree_ = 0.0;
+
+  private:
+    void admit();
+    void failfast();
+    std::vector<LaneView> laneViews() const;
+    /** The next arrival, else the earliest backoff-hold expiry; +inf
+     *  when there is neither. */
+    double nextWake() const;
+    void tick(std::size_t l, const LaneView &view);
+
+    std::unique_ptr<SchedulerPolicy> policy_;
+    std::size_t brownoutBound_ = 0;
+    std::size_t served_ = 0;
+    std::size_t shed_ = 0;
+    std::size_t failed_ = 0;
+    /** Served requests that met their lane's deadline. */
+    std::size_t met_ = 0;
+    bool anyDeadline_ = false;
+    double lastCompletion_ = 0.0;
+    std::vector<double> latenciesSec_;
+    std::vector<double> queueDelaysSec_;
+};
+
+// Admit (or shed) every arrival the admission horizon has passed,
+// across sources in global time order; each admitted request pays its
+// modeled host-to-device transfer on the serialized admission clock,
+// while shed arrivals never sample, never transfer, and never touch a
+// queue.
+void
+TickLoop::admit()
+{
+    while (true) {
+        const double t = now();
+        std::size_t l = arrivals_.size();
+        for (std::size_t i = 0; i < arrivals_.size(); ++i)
+            if (!arrivals_[i].done() && arrivals_[i].peekSec() <= t &&
+                (l == arrivals_.size() ||
+                 arrivals_[i].peekSec() < arrivals_[l].peekSec()))
+                l = i;
+        if (l == arrivals_.size())
+            break;
+        const double arr = arrivals_[l].next();
+        rep_.lastArrivalMs = std::max(rep_.lastArrivalMs, arr * 1e3);
+        // A routed arrival is judged against the whole backlog as lane
+        // 0 (one variant, one bound); a lane's own, against its queue.
+        const std::deque<QueuedArrival> &q = lanes_[l].queued;
+        LaneView view;
+        view.queueDepth = routed_ ? queued() : q.size();
+        view.headArrivalSec =
+            routed_ || q.empty() ? arr : q.front().arrivalSec;
+        view.moreArrivals = !arrivals_[l].done();
+        const AdmitDecision dec = policy_->admit(l, view, arr, t);
+        if (!dec.admit) {
+            ++shed_;
+            if (lanes_[l].deadlineMs > 0.0)
+                anyDeadline_ = true;
+            recordShed(flight_, reserveId(), arr,
+                       routed_ ? -1 : lanes_[l].device, dec.reason,
+                       routed_ ? std::string() : lanes_[l].label);
+            if (routed_)
+                continue;
+            ++lanes_[l].shed;
+            if (resil_)
+                resil_->noteFailure(l, t, "shed");
+            continue;
+        }
+        const SubmitInfo a = submit(l);
+        if (routed_)
+            l = static_cast<std::size_t>(a.device);
+        if (resil_)
+            resil_->noteAdmit(l);
+        hostFree_ = std::max(hostFree_, arr) + a.transferSec;
+        Lane &ln = lanes_[l];
+        if (flight_) {
+            flight_->event(a.id, "arrival", arr, ln.device,
+                           ln.label.empty() ? std::string()
+                                            : "variant=" + ln.label);
+            flight_->event(a.id, "admission", hostFree_, ln.device,
+                           "transfer_ms=" +
+                               obs::jsonNum(a.transferSec * 1e3));
+        }
+        ln.queued.push_back(QueuedArrival{arr, a.id});
+        rep_.peakLaneQueueDepth =
+            std::max(rep_.peakLaneQueueDepth, ln.queued.size());
+    }
+}
+
+// Timeout cancellation: fail a lane's head fast while its remaining
+// deadline budget cannot cover the policy's calibrated service
+// estimate. Read-only unless it fires, so a run where no deadline ever
+// expires keeps the pre-resilience timeline.
+void
+TickLoop::failfast()
+{
+    if (!resil_)
+        return;
+    const double t = now();
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        Lane &ln = lanes_[i];
+        while (ln.deadlineMs > 0.0 && !ln.queued.empty()) {
+            const QueuedArrival head = ln.queued.front();
+            const double est = policy_->estimateServiceSec(i, 1);
+            if (!resil_->deadlineExpired(head.arrivalSec,
+                                         ln.deadlineMs * 1e-3, t, est))
+                break;
+            dropOldest(i);
+            ln.queued.pop_front();
+            resil_->recordTimeout(head.id, i, ln.device, head.arrivalSec,
+                                  t);
+            noteFailed(i);
+        }
+    }
+}
+
+std::vector<LaneView>
+TickLoop::laneViews() const
+{
+    const double t = now();
+    std::vector<LaneView> views(lanes_.size());
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        const std::deque<QueuedArrival> &q = lanes_[i].queued;
+        views[i].queueDepth = q.size();
+        views[i].headArrivalSec = q.empty() ? 0.0 : q.front().arrivalSec;
+        views[i].moreArrivals = !arrivals_[routed_ ? 0 : i].done();
+        // An open breaker blocks the lane, and so does a head still
+        // inside its retry-backoff hold.
+        views[i].blocked =
+            resil_ && (resil_->blocked(i, t) ||
+                       (!q.empty() && q.front().notBeforeSec > t));
+    }
+    return views;
+}
+
+double
+TickLoop::nextWake() const
+{
+    double wake = std::numeric_limits<double>::infinity();
+    for (const LoadGenerator &gen : arrivals_)
+        if (!gen.done())
+            wake = std::min(wake, gen.peekSec());
+    if (std::isfinite(wake) || !resil_)
+        return wake;
+    const double t = now();
+    for (const Lane &ln : lanes_)
+        if (!ln.queued.empty() && ln.queued.front().notBeforeSec > t)
+            wake = std::min(wake, ln.queued.front().notBeforeSec);
+    return wake;
+}
+
+OnlineReport
+TickLoop::run(std::unique_ptr<SchedulerPolicy> policy)
+{
+    policy_ = std::move(policy);
+    rep_.policy = policy_->name();
+    std::size_t total = 0;
+    for (const LoadGenerator &gen : arrivals_)
+        total += gen.remaining();
+    if (total == 0)
+        return rep_;
+
+    if (cfg_.serving.resilience.enabled) {
+        resil_ = std::make_unique<ResilienceManager>(
+            cfg_.serving.resilience, lanes_.size());
+        resil_->setFlightRecorder(flight_);
+    }
+    latenciesSec_.reserve(total);
+    queueDelaysSec_.reserve(total);
+
+    while (served_ + shed_ + failed_ < total) {
+        admit();
+        pollFailures();
+        failfast();
+        // Backlog at every scheduling point, including the ones where
+        // every lane is blocked or still filling.
+        rep_.peakQueueDepth = std::max(rep_.peakQueueDepth, queued());
+        const std::vector<LaneView> views = laneViews();
+        int li = policy_->pickLane(views);
+        if (li < 0) {
+            const double wake = nextWake();
+            if (std::isfinite(wake)) {
+                // Idle, wait-to-fill still filling, an open breaker or
+                // a backoff hold: jump the clock.
+                hostFree_ = std::max(hostFree_, wake);
+                advanceTo(hostFree_);
+                continue;
+            }
+            li = oldestLane(views); // forced progress (breaker probe)
+            if (li < 0)
+                break; // nothing queued, nothing arriving
+        }
+        tick(static_cast<std::size_t>(li),
+             views[static_cast<std::size_t>(li)]);
+    }
+
+    rep_.requests = served_;
+    rep_.batches = rep_.ticks;
+    rep_.makespanMs = lastCompletion_ * 1e3;
+    rep_.throughputReqPerSec =
+        lastCompletion_ > 0.0
+            ? static_cast<double>(served_) / lastCompletion_
+            : 0.0;
+    rep_.msPerRequest =
+        served_ ? rep_.makespanMs / static_cast<double>(served_) : 0.0;
+    rep_.meanBatchSize =
+        rep_.ticks ? static_cast<double>(served_) /
+                         static_cast<double>(rep_.ticks)
+                   : 0.0;
+    // Attainment judges each request against its own lane's deadline,
+    // so it comes from the per-lane tallies, not fillLatencyStats.
+    fillLatencyStats(rep_, latenciesSec_, queueDelaysSec_, 0.0);
+    applyResilienceStats(rep_, resil_.get());
+
+    // Resilience-failed requests (timeouts, exhausted retries) were
+    // admitted, so they stay out of shedFraction but count as misses in
+    // the offered-denominator sloAttainment, exactly like sheds.
+    const std::size_t offered = served_ + shed_ + failed_;
+    rep_.requestsShed = shed_;
+    rep_.shedFraction =
+        offered > 0
+            ? static_cast<double>(shed_) / static_cast<double>(offered)
+            : 0.0;
+    if (anyDeadline_ && !latenciesSec_.empty())
+        rep_.sloAttainment = static_cast<double>(met_) /
+                             static_cast<double>(latenciesSec_.size());
+    rep_.admittedSloAttainment = rep_.sloAttainment;
+    if ((shed_ > 0 || failed_ > 0) && anyDeadline_)
+        rep_.sloAttainment =
+            static_cast<double>(met_) / static_cast<double>(offered);
+
+    for (Lane &ln : lanes_) {
+        if (ln.label.empty() || (ln.latencies.empty() && ln.shed == 0))
+            continue;
+        VariantReport vr =
+            makeVariantReport(ln.label, ln.latencies, ln.deadlineMs);
+        vr.requestsShed = ln.shed;
+        rep_.perVariant.push_back(std::move(vr));
+    }
+    finish(rep_);
+    return rep_;
+}
+
+void
+TickLoop::tick(std::size_t l, const LaneView &view)
+{
+    Lane &lane = lanes_[l];
+    const std::size_t depth = lane.queued.size();
+    rep_.peakLaneQueueDepth = std::max(rep_.peakLaneQueueDepth, depth);
+
+    if (resil_) {
+        // Brownout pressure is what admission bounds: the whole routed
+        // backlog, else the deepest lane.
+        std::size_t pressure = 0;
+        for (const Lane &ln : lanes_)
+            pressure = routed_ ? pressure + ln.queued.size()
+                               : std::max(pressure, ln.queued.size());
+        resil_->tickBrownout(pressure, brownoutBound_, now());
+        setDuplicationScale(resil_->duplicationScale());
+    }
+
+    std::size_t batch = policy_->pickBatch(l, view);
+    batch = std::max<std::size_t>(1, std::min(batch, depth));
+    if (!cfg_.retainResults)
+        clearResults();
+
+    // Hedge: the head request has waited past the EWMA-derived delay,
+    // so a backup copy runs on a second stream or device; the first
+    // completion wins. The primary result stays authoritative (a hedge
+    // stores nothing), so outputs are bit-identical to the unhedged
+    // run by construction.
+    const int s = pickStream(l);
+    const QueuedArrival head = lane.queued.front();
+    HedgeTarget ht;
+    ShardBatch hb;
+    if (resil_ && resil_->hedgeReady()) {
+        const double t = now();
+        const double waited = t - head.arrivalSec;
+        if (waited > resil_->hedgeDelaySec() && hedgeTarget(l, s, ht)) {
+            hb = hedgeOldest(l, ht);
+            if (hb.cost.requests > 0)
+                resil_->recordHedge(head.id, l, ht.device, t, waited);
+        }
+    }
+
+    const ShardBatch b = serveOldest(l, batch, s);
+    const Placed p = place(b, lane.device, s);
+    double head_done = p.done;
+    if (hb.cost.requests > 0) {
+        const Placed ph = place(hb, ht.device, ht.stream);
+        head_done = std::min(p.done, ph.done);
+        resil_->recordHedgeOutcome(head.id, ht.device, head_done,
+                                   ph.done < p.done);
+        if (obs::enabled())
+            obs::tracer().complete("tick/hedge", "online", ph.execStart,
+                                   hb.cost.execSec, ht.device, ht.stream,
+                                   "\"batch\":1");
+        lastCompletion_ = std::max(lastCompletion_, ph.done);
+    }
+    advanceTo(std::max(p.done, lastCompletion_));
+
+    double halo_bytes = 0.0;
+    for (const auto &[owner, bytes] : b.haloBytesByOwner)
+        halo_bytes += bytes;
+    const bool halo = p.commDone > p.issueDone;
+    if (obs::enabled()) {
+        if (halo)
+            obs::tracer().complete(
+                "halo", "comm", p.issueDone, p.commDone - p.issueDone,
+                lane.device, s, "\"bytes\":" + obs::jsonNum(halo_bytes));
+        obs::tracer().complete(
+            lane.label.empty() ? std::string("tick")
+                               : "tick/" + lane.label,
+            "online", p.execStart, b.cost.execSec, lane.device, s,
+            "\"batch\":" + std::to_string(batch));
+        if (p.gathered)
+            obs::tracer().complete(
+                "gather", "comm", p.execDone, p.done - p.execDone,
+                lane.device, s, "\"bytes\":" + obs::jsonNum(b.gatherBytes));
+    }
+
+    policy_->observe(l, b.cost);
+    batchSizes.push_back(batch);
+    ++rep_.ticks;
+    if (lane.deadlineMs > 0.0)
+        anyDeadline_ = true;
+
+    for (std::size_t i = 0; i < batch; ++i) {
+        const QueuedArrival req = lane.queued.front();
+        lane.queued.pop_front();
+        const double done_at = i == 0 ? head_done : p.done;
+        const double lat = done_at - req.arrivalSec;
+        const double delay = std::max(0.0, p.execStart - req.arrivalSec);
+        latenciesSec_.push_back(lat);
+        queueDelaysSec_.push_back(delay);
+        latenciesMs.push_back(lat * 1e3);
+        queueDelaysMs.push_back(delay * 1e3);
+        lane.latencies.push_back(lat);
+        if (meetsDeadline(lat, lane.deadlineMs))
+            ++met_;
+        if (resil_)
+            resil_->observeLatency(lat);
+        if (flight_) {
+            if (halo)
+                flight_->event(req.id, "halo", p.commDone, lane.device,
+                               "bytes=" + obs::jsonNum(halo_bytes));
+            flight_->event(req.id, "exec-start", p.execStart, lane.device,
+                           "stream=" + std::to_string(s));
+            if (p.gathered)
+                flight_->event(req.id, "all-gather", p.done, lane.device,
+                               "bytes=" + obs::jsonNum(b.gatherBytes));
+            flight_->event(req.id, "completion", done_at, lane.device,
+                           "latency_ms=" + obs::jsonNum(lat * 1e3));
+        }
+        if (obs::enabled())
+            obs::metrics().histogram("online.latency_ms").observe(lat * 1e3);
+    }
+    served_ += batch;
+    if (resil_)
+        resil_->noteSuccess(l, p.done);
+    lastCompletion_ = std::max(lastCompletion_, p.done);
+}
+
+/**
+ * Engine backend: one lane per VariantLoad (multi-tenant), or the one
+ * unlabelled lane of the single-device server, fed by the run's own
+ * arrival knobs. One device, whose one host thread both admits and
+ * issues, so admission stalls behind issue overheads.
+ */
+class EngineLoop final : public TickLoop
+{
+  public:
+    EngineLoop(const OnlineConfig &cfg, obs::FlightRecorder *flight,
+               Engine &eng, bool multi_tenant)
+        : TickLoop(cfg, flight), eng_(eng), rt_(eng.runtime()),
+          clock_(std::max(1, eng.config().numStreams),
+                 rt_.spec().streamSerialFraction),
+          launchesBefore_(rt_.counters().total().launches)
+    {
+        if (!multi_tenant) {
+            arrivals_.push_back(sessionArrivals(cfg));
+            addLane("", eng.variantName(0), eng.variantConfig(0),
+                    rt_.deviceId());
+            variants_.push_back(0);
+            rep_.offeredRatePerSec = cfg.arrivalRatePerSec;
+            return;
+        }
+        for (const VariantLoad &load : cfg.variants) {
+            const int v = eng.variantIndex(load.variant);
+            const ServingConfig &vcfg = eng.variantConfig(v);
+            arrivals_.emplace_back(load.ratePerSec, load.numRequests,
+                                   load.arrivalSeed, vcfg.mmpp,
+                                   vcfg.diurnal);
+            addLane(load.variant, eng.variantName(v), vcfg, rt_.deviceId());
+            variants_.push_back(v);
+            rep_.offeredRatePerSec += load.ratePerSec;
+        }
+    }
+
+  private:
+    double now() const override { return hostFree_; }
+    void advanceTo(double t) override { rt_.advanceTo(t); }
+    std::size_t queued() const override { return eng_.queued(); }
+    std::uint64_t reserveId() override { return eng_.reserveId(); }
+    void clearResults() override { eng_.clearResults(); }
+    void setDuplicationScale(double x) override { eng_.setDuplicationScale(x); }
+    void dropOldest(std::size_t l) override
+    {
+        eng_.dropOldest(variants_[l], 1);
+    }
+    int pickStream(std::size_t) const override { return clock_.pickStream(); }
+
+    SubmitInfo
+    submit(std::size_t src) override
+    {
+        SubmitInfo a;
+        const double before = rt_.hostTimeMs() * 1e-3;
+        a.id = eng_.submit(variants_[src]);
+        a.transferSec = rt_.hostTimeMs() * 1e-3 - before;
+        return a;
+    }
+
+    /** The least-busy other stream of the one device. */
+    bool
+    hedgeTarget(std::size_t, int stream, HedgeTarget &out) const override
+    {
+        out.device = rt_.deviceId();
+        out.stream = leastLoaded(clock_.streamFree, stream);
+        return out.stream >= 0;
+    }
+
+    ShardBatch
+    serveOldest(std::size_t l, std::size_t n, int stream) override
+    {
+        ShardBatch b;
+        b.cost = eng_.serveOldest(variants_[l], n, stream);
+        return b;
+    }
+
+    ShardBatch
+    hedgeOldest(std::size_t l, HedgeTarget t) override
+    {
+        ShardBatch b;
+        b.cost = eng_.hedgeOldest(variants_[l], t.stream);
+        return b;
+    }
+
+    Placed
+    place(const ShardBatch &b, int, int stream) override
+    {
+        Placed p;
+        p.issueDone = p.commDone = hostFree_ =
+            clock_.launch(b.cost.overheadSec, hostFree_);
+        clock_.run(b.cost.execSec, stream, p);
+        p.done = p.execDone;
+        return p;
+    }
+
+    void
+    finish(OnlineReport &rep) override
+    {
+        fillCacheStats(rep, eng_.planCache().stats());
+        rep.launches = rt_.counters().total().launches - launchesBefore_;
+    }
+
+    Engine &eng_;
+    sim::Runtime &rt_;
+    OpenLoopClock clock_;
+    std::uint64_t launchesBefore_;
+    /** Engine variant id of each lane. */
+    std::vector<int> variants_;
+};
+
+/**
+ * Sharded backend: one lane per device of a ShardedSession, fed by one
+ * arrival process whose admitted requests route to their home shard.
+ * One PCIe admission thread (hostFree_) is shared, and so is the
+ * interconnect, serialized per directed link. Unlike the engine
+ * backend's, the admission thread is free while devices execute:
+ * anything that arrived by the group clock (advanced to each batch
+ * completion) is admitted, which is what lets queue depth build under
+ * load and the adaptive batcher actually batch. Each device has its
+ * own OpenLoopClock: a driver thread, its streams, its contention
+ * floor.
+ */
+class ShardedLoop final : public TickLoop
+{
+  public:
+    ShardedLoop(const OnlineConfig &cfg, obs::FlightRecorder *flight,
+                ShardedSession &sharded, sim::DeviceGroup &group)
+        : TickLoop(cfg, flight), s_(sharded), group_(group),
+          clocks_(static_cast<std::size_t>(group.size()),
+                  OpenLoopClock(std::max(1, cfg.serving.numStreams),
+                                group.device(0).spec().streamSerialFraction)),
+          launchesBefore_(group.totalLaunches()),
+          icBusyBefore_(group.interconnect().totalBusySec())
+    {
+        rep_.offeredRatePerSec = cfg.arrivalRatePerSec;
+        rep_.devices = group.size();
+        arrivals_.push_back(sessionArrivals(cfg));
+        routed_ = true;
+        for (int d = 0; d < group.size(); ++d)
+            addLane("", "dev" + std::to_string(d), cfg.serving, d);
+    }
+
+  private:
+    double now() const override { return std::max(hostFree_, group_.nowSec()); }
+    void advanceTo(double t) override { group_.advanceTo(t); }
+    std::size_t queued() const override { return s_.queued(); }
+    std::uint64_t reserveId() override { return s_.reserveId(); }
+    void clearResults() override { s_.clearResults(); }
+    void setDuplicationScale(double x) override { s_.setDuplicationScale(x); }
+    void dropOldest(std::size_t l) override
+    {
+        s_.dropOldestOn(static_cast<int>(l), 1);
+    }
+    int pickStream(std::size_t l) const override
+    {
+        return clocks_[l].pickStream();
+    }
+    ShardBatch serveOldest(std::size_t l, std::size_t n, int stream) override
+    {
+        return s_.serveOldestOn(static_cast<int>(l), n, stream);
+    }
+    ShardBatch hedgeOldest(std::size_t l, HedgeTarget t) override
+    {
+        return s_.hedgeOldestOn(static_cast<int>(l), t.device, t.stream);
+    }
+
+    SubmitInfo submit(std::size_t) override { return s_.submitRouted(); }
+
+    // Scheduled device failures fire against the open-loop clock: the
+    // session quarantines the device and re-routes its queue (charging
+    // the structure re-sends on the admission thread), and the lanes
+    // mirror the move — the session's re-route order IS the lane
+    // order, both FIFO by admission. Then circuit breakers steer the
+    // router: open-breaker devices are avoided by homeShard while any
+    // unmasked alive device remains.
+    void
+    pollFailures() override
+    {
+        for (int d = 0; fi() && d < group_.size(); ++d) {
+            if (s_.isDead(d) || !fi()->failureDue(d, now()))
+                continue;
+            const double t_fail = fi()->failureTimeSec(d);
+            const std::vector<ShardedSession::Rerouted> moved =
+                s_.quarantine(d, t_fail);
+            std::deque<QueuedArrival> &dq =
+                lanes_[static_cast<std::size_t>(d)].queued;
+            for (const ShardedSession::Rerouted &rr : moved) {
+                QueuedArrival qa{};
+                qa.id = rr.id;
+                if (!dq.empty()) {
+                    qa = dq.front();
+                    dq.pop_front();
+                }
+                hostFree_ += rr.transferSec;
+                if (resil_) {
+                    // Retry with seeded capped backoff: a quarantine is
+                    // a transient per-request failure. Exhausted
+                    // budgets fail the request outright — its
+                    // re-routed copy leaves the destination queue.
+                    const ResilienceManager::RetryDecision rd =
+                        resil_->onFailure(
+                            rr.id, static_cast<std::size_t>(rr.from),
+                            rr.from, t_fail, "quarantine", qa.attempts);
+                    if (!rd.retry) {
+                        s_.dropQueued(rr.id);
+                        noteFailed(static_cast<std::size_t>(rr.from));
+                        continue;
+                    }
+                    qa.attempts = rd.attempt;
+                    qa.notBeforeSec = rd.notBeforeSec;
+                }
+                lanes_[static_cast<std::size_t>(rr.to)].queued.push_back(
+                    qa);
+            }
+            dq.clear();
+            rep_.requestsRerouted += moved.size();
+            if (obs::enabled())
+                obs::tracer().instant(
+                    "device.failure", "online", t_fail, d, 0,
+                    "\"rerouted\":" + std::to_string(moved.size()));
+        }
+        if (fi())
+            rep_.devicesFailed = group_.size() - s_.aliveCount();
+        if (!resil_)
+            return;
+        const double t = now();
+        // An all-clear mask routes exactly like no mask.
+        std::vector<char> avoid(lanes_.size(), 0);
+        for (std::size_t d = 0; d < lanes_.size(); ++d)
+            avoid[d] = resil_->blocked(d, t);
+        s_.setRouteAvoid(std::move(avoid));
+    }
+
+    /** Deterministic backup pick: alive, not the primary, shallowest
+     *  queue, ties to the lowest device id. */
+    bool
+    hedgeTarget(std::size_t l, int, HedgeTarget &out) const override
+    {
+        int best = -1;
+        for (std::size_t d = 0; d < lanes_.size(); ++d)
+            if (d != l && !s_.isDead(static_cast<int>(d)) &&
+                (best < 0 ||
+                 lanes_[d].queued.size() <
+                     lanes_[static_cast<std::size_t>(best)].queued.size()))
+                best = static_cast<int>(d);
+        if (best < 0)
+            return false;
+        out.device = best;
+        out.stream = clocks_[static_cast<std::size_t>(best)].pickStream();
+        return true;
+    }
+
+    // One batch through device @p dev's clocks: issue on its driver
+    // thread, halo rows resident before the kernels start (rows owned
+    // by failed shards re-gather from the host store over this device's
+    // PCIe lanes instead of the interconnect), contended execution on
+    // @p stream, then all-gather onto the root — device 0 unless it has
+    // been quarantined, then the lowest survivor.
+    Placed
+    place(const ShardBatch &b, int dev, int stream) override
+    {
+        int root = 0;
+        while (root < group_.size() && s_.isDead(root))
+            ++root;
+        OpenLoopClock &c = clocks_[static_cast<std::size_t>(dev)];
+        Placed p;
+        p.issueDone = c.launch(b.cost.overheadSec, hostFree_);
+        p.commDone = p.issueDone;
+        for (const auto &[owner, bytes] : b.haloBytesByOwner) {
+            p.commDone = std::max(p.commDone,
+                                  group_.interconnect().transfer(
+                                      owner, dev, bytes, p.issueDone));
+            rep_.haloBytes += bytes;
+        }
+        if (b.hostFallbackBytes > 0.0) {
+            sim::Runtime &drt = group_.device(dev);
+            const double t =
+                graph::hostTransferSec(b.hostFallbackBytes, drt.spec());
+            drt.hostOverhead(t);
+            p.commDone = std::max(p.commDone, p.issueDone + t);
+        }
+        c.run(b.cost.execSec, stream, p);
+        p.gathered = root < group_.size() && dev != root;
+        p.done = p.gathered ? group_.interconnect().transfer(
+                                  dev, root, b.gatherBytes, p.execDone)
+                            : p.execDone;
+        return p;
+    }
+
+    void
+    finish(OnlineReport &rep) override
+    {
+        rep.interconnectMs =
+            (group_.interconnect().totalBusySec() - icBusyBefore_) * 1e3;
+        fillCacheStats(rep, s_.planCache().stats());
+        rep.launches = group_.totalLaunches() - launchesBefore_;
+    }
+
+    sim::FaultInjector *fi() const { return group_.faultInjector(); }
+
+    ShardedSession &s_;
+    sim::DeviceGroup &group_;
+    std::vector<OpenLoopClock> clocks_;
+    std::uint64_t launchesBefore_;
+    double icBusyBefore_;
+};
+
 } // namespace
 
 OnlineServer::OnlineServer(const graph::HeteroGraph &g,
@@ -433,14 +1184,10 @@ OnlineServer::OnlineServer(const graph::HeteroGraph &g,
                            std::string model_source, OnlineConfig cfg,
                            sim::Runtime &rt)
     : cfg_(cfg),
-      session_(std::make_unique<ServingSession>(
-          g, std::move(host_features), std::move(model_source),
-          cfg.serving, rt)),
-      batcher_(std::max<std::size_t>(1, cfg.serving.maxBatch),
-               cfg.serving.deadlineMs * 1e-3, cfg.ewmaAlpha,
-               cfg.deadlineBudgetFraction,
-               cfg.serving.maxQueueDepth > 0 &&
-                   cfg.serving.shed != ShedMode::None)
+      ownedEngine_(defaultEngine(g, std::move(host_features),
+                                 std::move(model_source), cfg.serving, rt)),
+      engine_(ownedEngine_.get()),
+      batcher_(sharedBatcher(cfg))
 {
     validatePolicyName(cfg_);
 }
@@ -450,11 +1197,7 @@ OnlineServer::OnlineServer(const graph::HeteroGraph &g,
                            std::string model_source, OnlineConfig cfg,
                            sim::DeviceGroup &group)
     : cfg_(cfg), group_(&group),
-      batcher_(std::max<std::size_t>(1, cfg.serving.maxBatch),
-               cfg.serving.deadlineMs * 1e-3, cfg.ewmaAlpha,
-               cfg.deadlineBudgetFraction,
-               cfg.serving.maxQueueDepth > 0 &&
-                   cfg.serving.shed != ShedMode::None)
+      batcher_(sharedBatcher(cfg))
 {
     validatePolicyName(cfg_);
     ShardedConfig scfg;
@@ -467,11 +1210,7 @@ OnlineServer::OnlineServer(const graph::HeteroGraph &g,
 
 OnlineServer::OnlineServer(Engine &engine, OnlineConfig cfg)
     : cfg_(cfg), engine_(&engine),
-      batcher_(std::max<std::size_t>(1, cfg.serving.maxBatch),
-               cfg.serving.deadlineMs * 1e-3, cfg.ewmaAlpha,
-               cfg.deadlineBudgetFraction,
-               cfg.serving.maxQueueDepth > 0 &&
-                   cfg.serving.shed != ShedMode::None)
+      batcher_(sharedBatcher(cfg))
 {
     validatePolicyName(cfg_);
     if (cfg_.variants.empty())
@@ -497,16 +1236,6 @@ OnlineServer::OnlineServer(Engine &engine, OnlineConfig cfg)
     }
 }
 
-ServingSession &
-OnlineServer::session()
-{
-    if (!session_)
-        throw std::runtime_error(
-            "OnlineServer::session: server does not run in "
-            "single-device mode");
-    return *session_;
-}
-
 ShardedSession &
 OnlineServer::sharded()
 {
@@ -521,8 +1250,7 @@ OnlineServer::engine()
 {
     if (!engine_)
         throw std::runtime_error(
-            "OnlineServer::engine: server does not run in multi-tenant "
-            "mode");
+            "OnlineServer::engine: sharded mode serves through sharded()");
     return *engine_;
 }
 
@@ -532,8 +1260,6 @@ OnlineServer::setFlightRecorder(obs::FlightRecorder *fr)
     flight_ = fr;
     if (engine_)
         engine_->setFlightRecorder(fr);
-    if (session_)
-        session_->engine().setFlightRecorder(fr);
     if (sharded_)
         sharded_->setFlightRecorder(fr);
 }
@@ -560,875 +1286,24 @@ OnlineServer::buildPolicy(PolicySetup setup) const
 OnlineReport
 OnlineServer::run()
 {
-    return sharded_ ? runSharded() : runLanes();
-}
-
-OnlineReport
-OnlineServer::runLanes()
-{
-    // Multi-tenant mode serves one lane per VariantLoad; the
-    // single-device mode is one unlabelled lane over the session's
-    // one-variant engine, fed by cfg_'s own arrival knobs.
-    Engine &eng = engine_ ? *engine_ : session_->engine();
-    sim::Runtime &rt = eng.runtime();
-    OnlineReport rep;
-    // Lanes with their own SLOs below can only raise the base deadline.
-    rep.deadlineMs = cfg_.serving.deadlineMs;
     latenciesMs_.clear();
     queueDelaysMs_.clear();
     batchSizes_.clear();
-
-    /** One open-loop arrival process + queue per variant (batch
-     *  sizing and lane ordering live in the SchedulerPolicy). */
-    struct Lane
-    {
-        int variant;
-        /** Variant name in traces, flight details and perVariant rows;
-         *  empty on the single-device lane, which reports none. */
-        std::string label;
-        LoadGenerator gen;
-        double deadlineMs;
-        std::deque<QueuedArrival> queued;
-        std::vector<double> latencies; ///< seconds, completion order
-        std::size_t met = 0;
-        std::size_t shed = 0;
-
-        Lane(int v, std::string l, LoadGenerator g, double deadline_ms)
-            : variant(v), label(std::move(l)), gen(std::move(g)),
-              deadlineMs(deadline_ms)
-        {}
-    };
-
-    std::vector<Lane> lanes;
-    if (engine_) {
-        lanes.reserve(cfg_.variants.size());
-        for (const VariantLoad &load : cfg_.variants) {
-            const int v = eng.variantIndex(load.variant);
-            const ServingConfig &vcfg = eng.variantConfig(v);
-            lanes.emplace_back(
-                v, load.variant,
-                LoadGenerator(load.ratePerSec, load.numRequests,
-                              load.arrivalSeed, vcfg.mmpp, vcfg.diurnal),
-                vcfg.deadlineMs);
-            rep.offeredRatePerSec += load.ratePerSec;
-        }
-    } else {
-        lanes.emplace_back(0, std::string(), sessionArrivals(cfg_),
-                           eng.variantConfig(0).deadlineMs);
-        rep.offeredRatePerSec = cfg_.arrivalRatePerSec;
-    }
-
-    PolicySetup setup;
-    setup.lanes.reserve(lanes.size());
-    std::size_t total = 0;
-    std::size_t brownout_bound = 0;
-    for (const Lane &ln : lanes) {
-        const ServingConfig &vcfg = eng.variantConfig(ln.variant);
-        setup.lanes.push_back(
-            laneSpecFrom(eng.variantName(ln.variant), vcfg, cfg_));
-        rep.deadlineMs = std::max(rep.deadlineMs, vcfg.deadlineMs);
-        brownout_bound = std::max(brownout_bound, vcfg.maxQueueDepth);
-        total += ln.gen.remaining();
-    }
-    // The single-device lane shares the server's batcher (exposed via
-    // batcher()); variant lanes each own one.
-    if (!engine_)
-        setup.sharedBatcher = &batcher_;
-    const std::unique_ptr<SchedulerPolicy> policy =
-        buildPolicy(std::move(setup));
-    rep.policy = policy->name();
-    if (total == 0)
-        return rep;
-
-    std::unique_ptr<ResilienceManager> resil;
-    if (cfg_.serving.resilience.enabled) {
-        resil = std::make_unique<ResilienceManager>(
-            cfg_.serving.resilience, lanes.size());
-        resil->setFlightRecorder(flight_);
-    }
-
-    const int num_streams = std::max(1, eng.config().numStreams);
-    OpenLoopClock clock(num_streams, rt.spec().streamSerialFraction);
-
-    const std::uint64_t launches_before = rt.counters().total().launches;
-    std::size_t shed_total = 0;
-    std::size_t failed_total = 0;
-    bool any_deadline = false;
-
-    // Admit (or shed) every arrival the host clock has passed, across
-    // lanes in global time order; each admitted request pays its
-    // modeled host-to-device transfer on the serialized host clock,
-    // while shed arrivals never sample, never transfer, and never
-    // touch a queue.
-    auto admit = [&]() {
-        while (true) {
-            std::size_t next = lanes.size();
-            for (std::size_t i = 0; i < lanes.size(); ++i)
-                if (!lanes[i].gen.done() &&
-                    lanes[i].gen.peekSec() <= clock.hostFree &&
-                    (next == lanes.size() ||
-                     lanes[i].gen.peekSec() < lanes[next].gen.peekSec()))
-                    next = i;
-            if (next == lanes.size())
-                break;
-            Lane &ln = lanes[next];
-            const double arr = ln.gen.next();
-            rep.lastArrivalMs = std::max(rep.lastArrivalMs, arr * 1e3);
-            LaneView view;
-            view.queueDepth = ln.queued.size();
-            view.headArrivalSec =
-                ln.queued.empty() ? arr : ln.queued.front().arrivalSec;
-            view.moreArrivals = !ln.gen.done();
-            const AdmitDecision dec =
-                policy->admit(next, view, arr, clock.hostFree);
-            if (!dec.admit) {
-                ++ln.shed;
-                ++shed_total;
-                if (ln.deadlineMs > 0.0)
-                    any_deadline = true;
-                recordShed(flight_, eng.reserveId(), arr, rt.deviceId(),
-                           dec.reason, ln.label);
-                if (resil)
-                    resil->noteFailure(next, clock.hostFree, "shed");
-                continue;
-            }
-            if (resil)
-                resil->noteAdmit(next);
-            const double host_before = rt.hostTimeMs() * 1e-3;
-            const std::uint64_t id = eng.submit(ln.variant);
-            const double transfer = rt.hostTimeMs() * 1e-3 - host_before;
-            clock.hostFree = std::max(clock.hostFree, arr) + transfer;
-            if (flight_) {
-                flight_->event(id, "arrival", arr, rt.deviceId(),
-                               ln.label.empty() ? std::string()
-                                                : "variant=" + ln.label);
-                flight_->event(id, "admission", clock.hostFree,
-                               rt.deviceId(),
-                               "transfer_ms=" +
-                                   obs::jsonNum(transfer * 1e3));
-            }
-            ln.queued.push_back(QueuedArrival{arr, id});
-            rep.peakLaneQueueDepth =
-                std::max(rep.peakLaneQueueDepth, ln.queued.size());
-        }
-    };
-
-    /** Earliest pending arrival across lanes; +inf when exhausted. */
-    auto next_arrival = [&]() {
-        double t = std::numeric_limits<double>::infinity();
-        for (Lane &ln : lanes)
-            if (!ln.gen.done())
-                t = std::min(t, ln.gen.peekSec());
-        return t;
-    };
-
-    /** Per-lane dynamic state for the policy's decision points. */
-    auto lane_views = [&]() {
-        std::vector<LaneView> views(lanes.size());
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            views[i].queueDepth = lanes[i].queued.size();
-            views[i].headArrivalSec =
-                lanes[i].queued.empty()
-                    ? 0.0
-                    : lanes[i].queued.front().arrivalSec;
-            views[i].moreArrivals = !lanes[i].gen.done();
-            views[i].blocked =
-                resil && resil->blocked(i, clock.hostFree);
-        }
-        return views;
-    };
-
-    // Timeout cancellation: fail a lane's head fast while its remaining
-    // deadline budget cannot cover the policy's calibrated service
-    // estimate. Read-only unless it fires, so a run where no deadline
-    // ever expires keeps the pre-resilience timeline.
-    auto failfast = [&]() {
-        if (!resil)
-            return;
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            Lane &ln = lanes[i];
-            if (ln.deadlineMs <= 0.0)
-                continue;
-            while (!ln.queued.empty()) {
-                const QueuedArrival head = ln.queued.front();
-                const double est = policy->estimateServiceSec(i, 1);
-                if (!resil->deadlineExpired(head.arrivalSec,
-                                            ln.deadlineMs * 1e-3,
-                                            clock.hostFree, est))
-                    break;
-                eng.dropOldest(ln.variant, 1);
-                ln.queued.pop_front();
-                resil->recordTimeout(head.id, i, rt.deviceId(),
-                                     head.arrivalSec, clock.hostFree);
-                ++failed_total;
-                any_deadline = true;
-            }
-        }
-    };
-
-    std::size_t served = 0;
-    double last_completion = 0.0;
-    std::vector<double> latencies_sec;
-    std::vector<double> queue_delays_sec;
-    latencies_sec.reserve(total);
-    queue_delays_sec.reserve(total);
-
-    while (served + shed_total + failed_total < total) {
-        admit();
-        failfast();
-        // Engine-wide backlog at every scheduling point, including the
-        // ones where every lane is blocked or still filling.
-        rep.peakQueueDepth = std::max(rep.peakQueueDepth, eng.queued());
-        const std::vector<LaneView> views = lane_views();
-        int li = policy->pickLane(views);
-        if (li < 0) {
-            const double na = next_arrival();
-            if (std::isfinite(na)) {
-                // Idle (or wait-to-fill still filling, or an open
-                // breaker): jump the host clock to the next arrival.
-                clock.hostFree = std::max(clock.hostFree, na);
-                rt.advanceTo(clock.hostFree);
-                continue;
-            }
-            li = oldestLane(views); // forced progress (breaker probe)
-            if (li < 0)
-                break; // nothing queued, nothing arriving
-        }
-        const std::size_t l = static_cast<std::size_t>(li);
-        Lane &lane = lanes[l];
-
-        const std::size_t depth = lane.queued.size();
-        rep.peakLaneQueueDepth = std::max(rep.peakLaneQueueDepth, depth);
-
-        if (resil) {
-            std::size_t max_depth = 0;
-            for (const Lane &ln : lanes)
-                max_depth = std::max(max_depth, ln.queued.size());
-            resil->tickBrownout(max_depth, brownout_bound,
-                                clock.hostFree);
-            eng.setDuplicationScale(resil->duplicationScale());
-        }
-
-        std::size_t batch = policy->pickBatch(l, views[l]);
-        batch = std::max<std::size_t>(1, std::min(batch, depth));
-
-        if (!cfg_.retainResults)
-            eng.clearResults();
-
-        // Hedge: the head request has waited past the EWMA-derived
-        // delay, so a backup copy runs on a second stream; the first
-        // completion wins. The primary result stays authoritative
-        // (hedgeOldest stores nothing), so outputs are bit-identical
-        // to the unhedged run by construction.
-        const int s = clock.pickStream();
-        const QueuedArrival head = lane.queued.front();
-        bool hedged = false;
-        BatchCost hedge_cost;
-        int hs = -1;
-        if (resil && resil->hedgeReady() && num_streams > 1) {
-            const double waited = clock.hostFree - head.arrivalSec;
-            if (waited > resil->hedgeDelaySec()) {
-                hs = leastLoaded(clock.streamFree, s);
-                hedge_cost = eng.hedgeOldest(lane.variant, hs);
-                hedged = hedge_cost.requests > 0;
-                if (hedged)
-                    resil->recordHedge(head.id, l, rt.deviceId(),
-                                       clock.hostFree, waited);
-            }
-        }
-
-        const BatchCost cost = eng.serveOldest(lane.variant, batch, s);
-        const OpenLoopClock::Issued t = clock.issue(cost, s);
-        double head_done = t.done;
-        if (hedged) {
-            const OpenLoopClock::Issued th = clock.issue(hedge_cost, hs);
-            const bool hedge_won = th.done < t.done;
-            head_done = std::min(t.done, th.done);
-            resil->recordHedgeOutcome(head.id, rt.deviceId(), head_done,
-                                      hedge_won);
-            last_completion = std::max(last_completion, th.done);
-        }
-        rt.advanceTo(std::max(t.done, last_completion));
-
-        if (obs::enabled())
-            obs::tracer().complete(
-                lane.label.empty() ? std::string("tick")
-                                   : "tick/" + lane.label,
-                "online", t.execStart, cost.execSec, rt.deviceId(), s,
-                "\"batch\":" + std::to_string(batch));
-
-        policy->observe(l, cost);
-        batchSizes_.push_back(batch);
-        ++rep.ticks;
-
-        if (lane.deadlineMs > 0.0)
-            any_deadline = true;
-        for (std::size_t i = 0; i < batch; ++i) {
-            const QueuedArrival req = lane.queued.front();
-            lane.queued.pop_front();
-            const double done_at = i == 0 ? head_done : t.done;
-            const double lat = done_at - req.arrivalSec;
-            const double delay =
-                std::max(0.0, t.execStart - req.arrivalSec);
-            latencies_sec.push_back(lat);
-            queue_delays_sec.push_back(delay);
-            latenciesMs_.push_back(lat * 1e3);
-            queueDelaysMs_.push_back(delay * 1e3);
-            lane.latencies.push_back(lat);
-            if (meetsDeadline(lat, lane.deadlineMs))
-                ++lane.met;
-            if (resil)
-                resil->observeLatency(lat);
-            if (flight_) {
-                flight_->event(req.id, "exec-start", t.execStart,
-                               rt.deviceId(),
-                               "stream=" + std::to_string(s));
-                flight_->event(req.id, "completion", done_at,
-                               rt.deviceId(),
-                               "latency_ms=" + obs::jsonNum(lat * 1e3));
-            }
-            if (obs::enabled())
-                obs::metrics()
-                    .histogram("online.latency_ms")
-                    .observe(lat * 1e3);
-        }
-        served += batch;
-        if (resil)
-            resil->noteSuccess(l, t.done);
-        last_completion = std::max(last_completion, t.done);
-    }
-
-    // Percentiles/means via the shared tail; attainment judges each
-    // request against its own lane's deadline, so the overall numbers
-    // are recomputed from the per-lane tallies below.
-    finalizeOnlineReport(rep, served, last_completion, latencies_sec,
-                         queue_delays_sec, 0.0, shed_total,
-                         failed_total);
-    applyResilienceStats(rep, resil.get());
-    std::size_t met = 0;
-    for (const Lane &ln : lanes)
-        met += ln.met;
-    if (any_deadline && !latencies_sec.empty())
-        rep.sloAttainment = static_cast<double>(met) /
-                            static_cast<double>(latencies_sec.size());
-    rep.admittedSloAttainment = rep.sloAttainment;
-    if ((shed_total > 0 || failed_total > 0) && any_deadline)
-        rep.sloAttainment =
-            static_cast<double>(met) /
-            static_cast<double>(served + shed_total + failed_total);
-
-    for (Lane &ln : lanes) {
-        if (ln.label.empty() || (ln.latencies.empty() && ln.shed == 0))
-            continue;
-        VariantReport vr =
-            makeVariantReport(ln.label, ln.latencies, ln.deadlineMs);
-        vr.requestsShed = ln.shed;
-        rep.perVariant.push_back(std::move(vr));
-    }
-
-    fillCacheStats(rep, eng.planCache().stats());
-    rep.launches = rt.counters().total().launches - launches_before;
-    return rep;
-}
-
-OnlineReport
-OnlineServer::runSharded()
-{
-    OnlineReport rep;
-    rep.offeredRatePerSec = cfg_.arrivalRatePerSec;
-    rep.deadlineMs = cfg_.serving.deadlineMs;
-    rep.devices = group_->size();
-    latenciesMs_.clear();
-    queueDelaysMs_.clear();
-    batchSizes_.clear();
-
-    const int devices = group_->size();
-
-    // One lane per home shard, all sharing the run's ServingConfig —
-    // and one shared cost model (the server's batcher), exactly the
-    // pre-policy behavior where every device fed the same EWMAs.
-    PolicySetup setup;
-    setup.lanes.reserve(static_cast<std::size_t>(devices));
-    for (int d = 0; d < devices; ++d)
-        setup.lanes.push_back(laneSpecFrom(
-            "dev" + std::to_string(d), cfg_.serving, cfg_));
-    setup.sharedBatcher = &batcher_;
-    const std::unique_ptr<SchedulerPolicy> policy =
-        buildPolicy(std::move(setup));
-    rep.policy = policy->name();
-    const std::size_t total_requests = cfg_.arrivalTrace.empty()
-                                           ? cfg_.numRequests
-                                           : cfg_.arrivalTrace.size();
-    if (total_requests == 0)
-        return rep;
-
-    LoadGenerator gen = sessionArrivals(cfg_);
-
-    std::unique_ptr<ResilienceManager> resil;
-    if (cfg_.serving.resilience.enabled) {
-        resil = std::make_unique<ResilienceManager>(
-            cfg_.serving.resilience,
-            static_cast<std::size_t>(devices));
-        resil->setFlightRecorder(flight_);
-    }
-    const double deadline_sec = cfg_.serving.deadlineMs * 1e-3;
-
-    const int num_streams = std::max(1, cfg_.serving.numStreams);
-    const double serial_frac =
-        group_->device(0).spec().streamSerialFraction;
-
-    // Multi-device open-loop timeline. The shared pieces stay shared:
-    // one PCIe link admits arrivals (host_free) and the interconnect
-    // serializes per directed link. Per device, the lane loop's
-    // OpenLoopClock: an own driver thread issues launches, each stream
-    // runs one batch at a time, and the device's contention floor
-    // gates overlapped execution.
-    std::vector<OpenLoopClock> clocks(
-        static_cast<std::size_t>(devices),
-        OpenLoopClock(num_streams, serial_frac));
-    double host_free = 0.0;
-
-    /** Arrival time and id of each queued request, FIFO per home
-     *  device. */
-    std::vector<std::deque<QueuedArrival>> queued_arrivals(
-        static_cast<std::size_t>(devices));
-
-    const std::uint64_t launches_before = group_->totalLaunches();
-    const double ic_busy_before =
-        group_->interconnect().totalBusySec();
-    std::size_t shed_total = 0;
-    std::size_t failed_total = 0;
-
-    // Admit (or shed) arrivals the simulation has reached. Unlike the
-    // single-device loop — whose one host thread both admits and
-    // issues, so admission stalls behind issue overheads — the group's
-    // admission thread is free while devices execute: anything that
-    // arrived by the group clock (advanced to each batch completion)
-    // is admitted, which is what lets queue depth build under load and
-    // the adaptive batcher actually batch. The admission bound applies
-    // to the whole session's backlog (one variant, one bound), judged
-    // BEFORE routing — shed arrivals never sample and never route.
-    auto admit = [&]() {
-        while (!gen.done() &&
-               gen.peekSec() <= std::max(host_free, group_->nowSec())) {
-            const double arr = gen.next();
-            rep.lastArrivalMs = arr * 1e3;
-            LaneView view;
-            view.queueDepth = sharded_->queued();
-            view.headArrivalSec = arr;
-            view.moreArrivals = !gen.done();
-            const AdmitDecision dec = policy->admit(
-                0, view, arr, std::max(host_free, group_->nowSec()));
-            if (!dec.admit) {
-                ++shed_total;
-                recordShed(flight_, sharded_->reserveId(), arr, -1,
-                           dec.reason, std::string());
-                continue;
-            }
-            const ShardedSession::SubmitInfo info =
-                sharded_->submitRouted();
-            if (resil)
-                resil->noteAdmit(
-                    static_cast<std::size_t>(info.device));
-            host_free = std::max(host_free, arr) + info.transferSec;
-            if (flight_) {
-                flight_->event(info.id, "arrival", arr, info.device);
-                flight_->event(
-                    info.id, "admission", host_free, info.device,
-                    "transfer_ms=" +
-                        obs::jsonNum(info.transferSec * 1e3));
-            }
-            queued_arrivals[static_cast<std::size_t>(info.device)]
-                .push_back(QueuedArrival{arr, info.id});
-            rep.peakLaneQueueDepth = std::max(
-                rep.peakLaneQueueDepth,
-                queued_arrivals[static_cast<std::size_t>(info.device)]
-                    .size());
-        }
-    };
-
-    // Scheduled device failures fire against the open-loop clock: the
-    // session quarantines the device and re-routes its queue (charging
-    // the structure re-sends on the admission thread), and this loop's
-    // per-device arrival deque mirrors the move — the session's
-    // re-route order IS the deque order, both FIFO by admission.
-    sim::FaultInjector *fi = group_->faultInjector();
-    auto check_failures = [&]() {
-        if (!fi)
-            return;
-        for (int d = 0; d < devices; ++d) {
-            if (sharded_->isDead(d) ||
-                !fi->failureDue(
-                    d, std::max(host_free, group_->nowSec())))
-                continue;
-            const double t_fail = fi->failureTimeSec(d);
-            const std::vector<ShardedSession::Rerouted> moved =
-                sharded_->quarantine(d, t_fail);
-            auto &dq = queued_arrivals[static_cast<std::size_t>(d)];
-            for (const ShardedSession::Rerouted &rr : moved) {
-                QueuedArrival qa{};
-                qa.id = rr.id;
-                if (!dq.empty()) {
-                    qa = dq.front();
-                    dq.pop_front();
-                }
-                host_free += rr.transferSec;
-                if (resil) {
-                    // Retry with seeded capped backoff: a quarantine
-                    // is a transient per-request failure. Exhausted
-                    // budgets fail the request outright — its
-                    // re-routed copy leaves the destination queue.
-                    const ResilienceManager::RetryDecision rd =
-                        resil->onFailure(
-                            rr.id, static_cast<std::size_t>(rr.from),
-                            rr.from, t_fail, "quarantine",
-                            qa.attempts);
-                    if (!rd.retry) {
-                        sharded_->dropQueued(rr.id);
-                        ++failed_total;
-                        continue;
-                    }
-                    qa.attempts = rd.attempt;
-                    qa.notBeforeSec = rd.notBeforeSec;
-                }
-                queued_arrivals[static_cast<std::size_t>(rr.to)]
-                    .push_back(qa);
-            }
-            dq.clear();
-            rep.requestsRerouted += moved.size();
-            if (obs::enabled())
-                obs::tracer().instant(
-                    "device.failure", "online", t_fail, d, 0,
-                    "\"rerouted\":" + std::to_string(moved.size()));
-        }
-        rep.devicesFailed = group_->size() - sharded_->aliveCount();
-    };
-
-    /** Per-device dynamic state for the policy (dead devices hold no
-     *  queue — quarantine re-routed it — so they are never picked). */
-    auto lane_views = [&]() {
-        const double now = std::max(host_free, group_->nowSec());
-        std::vector<LaneView> views(static_cast<std::size_t>(devices));
-        for (int d = 0; d < devices; ++d) {
-            const auto &q =
-                queued_arrivals[static_cast<std::size_t>(d)];
-            views[static_cast<std::size_t>(d)].queueDepth = q.size();
-            views[static_cast<std::size_t>(d)].headArrivalSec =
-                q.empty() ? 0.0 : q.front().arrivalSec;
-            views[static_cast<std::size_t>(d)].moreArrivals =
-                !gen.done();
-            // An open breaker blocks the lane, and so does a head
-            // still inside its retry-backoff hold.
-            views[static_cast<std::size_t>(d)].blocked =
-                resil &&
-                (resil->blocked(static_cast<std::size_t>(d), now) ||
-                 (!q.empty() && q.front().notBeforeSec > now));
-        }
-        return views;
-    };
-
-    // Timeout cancellation per device lane (see runLanes' failfast).
-    auto failfast = [&]() {
-        if (!resil || deadline_sec <= 0.0)
-            return;
-        const double now = std::max(host_free, group_->nowSec());
-        for (int d = 0; d < devices; ++d) {
-            if (sharded_->isDead(d))
-                continue;
-            auto &q = queued_arrivals[static_cast<std::size_t>(d)];
-            while (!q.empty()) {
-                const QueuedArrival head = q.front();
-                const double est = policy->estimateServiceSec(
-                    static_cast<std::size_t>(d), 1);
-                if (!resil->deadlineExpired(head.arrivalSec,
-                                            deadline_sec, now, est))
-                    break;
-                sharded_->dropOldestOn(d, 1);
-                q.pop_front();
-                resil->recordTimeout(head.id,
-                                     static_cast<std::size_t>(d), d,
-                                     head.arrivalSec, now);
-                ++failed_total;
-            }
-        }
-    };
-
-    // Circuit breakers steer the router: open-breaker devices are
-    // avoided by homeShard while any unmasked alive device remains.
-    auto update_route_avoid = [&]() {
-        if (!resil)
-            return;
-        const double now = std::max(host_free, group_->nowSec());
-        std::vector<char> avoid(static_cast<std::size_t>(devices), 0);
-        bool any = false;
-        for (int d = 0; d < devices; ++d)
-            if (resil->blocked(static_cast<std::size_t>(d), now)) {
-                avoid[static_cast<std::size_t>(d)] = 1;
-                any = true;
-            }
-        sharded_->setRouteAvoid(any ? std::move(avoid)
-                                    : std::vector<char>{});
-    };
-
-    std::size_t served = 0;
-    double last_completion = 0.0;
-    std::vector<double> latencies_sec;
-    std::vector<double> queue_delays_sec;
-    latencies_sec.reserve(total_requests);
-    queue_delays_sec.reserve(total_requests);
-
-    /** Modeled timeline of one batch placed on a device. */
-    struct Placed
-    {
-        double issueDone = 0.0;
-        double commDone = 0.0;
-        double execStart = 0.0;
-        double execDone = 0.0;
-        /** Outputs resident on the all-gather root. */
-        double done = 0.0;
-    };
-    // One batch through device @p dev's clocks: issue on its driver
-    // thread, halo rows resident before the kernels start (rows owned
-    // by failed shards re-gather from the host store over this
-    // device's PCIe lanes instead of the interconnect), contended
-    // execution on @p stream, then all-gather onto @p root. The
-    // primary batch and its hedge copy both run through it.
-    auto place = [&](int dev, int stream, const ShardBatch &b, int root) {
-        OpenLoopClock &c = clocks[static_cast<std::size_t>(dev)];
-        Placed p;
-        p.issueDone = c.launch(b.cost.overheadSec, host_free);
-        p.commDone = p.issueDone;
-        for (const auto &[owner, bytes] : b.haloBytesByOwner) {
-            p.commDone = std::max(p.commDone,
-                                  group_->interconnect().transfer(
-                                      owner, dev, bytes, p.issueDone));
-            rep.haloBytes += bytes;
-        }
-        if (b.hostFallbackBytes > 0.0) {
-            sim::Runtime &drt = group_->device(dev);
-            const double t =
-                graph::hostTransferSec(b.hostFallbackBytes, drt.spec());
-            drt.hostOverhead(t);
-            p.commDone = std::max(p.commDone, p.issueDone + t);
-        }
-        const OpenLoopClock::Issued e =
-            c.run(b.cost.execSec, stream, p.commDone);
-        p.execStart = e.execStart;
-        p.execDone = e.done;
-        p.done = dev != root ? group_->interconnect().transfer(
-                                   dev, root, b.gatherBytes, e.done)
-                             : e.done;
-        return p;
-    };
-
-    while (served + shed_total + failed_total < total_requests) {
-        admit();
-        check_failures();
-        update_route_avoid();
-        failfast();
-        const std::vector<LaneView> views = lane_views();
-        int d = policy->pickLane(views);
-        if (d < 0) {
-            if (!gen.done()) {
-                // Idle (or wait-to-fill still filling): jump the host
-                // clock to the next arrival.
-                host_free = std::max(host_free, gen.peekSec());
-                group_->advanceTo(host_free);
-                continue;
-            }
-            if (resil) {
-                // Arrivals exhausted but heads may be backoff-held:
-                // jump to the earliest hold expiry, then re-evaluate.
-                const double now =
-                    std::max(host_free, group_->nowSec());
-                double wake = std::numeric_limits<double>::infinity();
-                for (int dd = 0; dd < devices; ++dd) {
-                    const auto &q =
-                        queued_arrivals[static_cast<std::size_t>(dd)];
-                    if (!q.empty() && q.front().notBeforeSec > now)
-                        wake =
-                            std::min(wake, q.front().notBeforeSec);
-                }
-                if (std::isfinite(wake)) {
-                    host_free = std::max(host_free, wake);
-                    group_->advanceTo(host_free);
-                    continue;
-                }
-            }
-            d = oldestLane(views); // forced progress (breaker probe)
-            if (d < 0)
-                break; // nothing queued, nothing arriving
-        }
-        auto &q = queued_arrivals[static_cast<std::size_t>(d)];
-        const std::size_t depth = q.size();
-        rep.peakQueueDepth =
-            std::max(rep.peakQueueDepth, sharded_->queued());
-        rep.peakLaneQueueDepth =
-            std::max(rep.peakLaneQueueDepth, depth);
-
-        if (resil) {
-            // Admission bounds the whole session's backlog (judged
-            // before routing), so brownout pressure is the TOTAL
-            // queued fraction — a per-lane max would never cross the
-            // watermark once the bound spreads across devices.
-            std::size_t total_depth = 0;
-            for (const auto &dq : queued_arrivals)
-                total_depth += dq.size();
-            resil->tickBrownout(total_depth, cfg_.serving.maxQueueDepth,
-                                std::max(host_free, group_->nowSec()));
-            sharded_->setDuplicationScale(resil->duplicationScale());
-        }
-
-        std::size_t batch =
-            policy->pickBatch(static_cast<std::size_t>(d),
-                              views[static_cast<std::size_t>(d)]);
-        batch = std::max<std::size_t>(1, std::min(batch, depth));
-
-        if (!cfg_.retainResults)
-            sharded_->clearResults();
-
-        const int s = clocks[static_cast<std::size_t>(d)].pickStream();
-
-        // Hedge: re-issue the waiting head on a second alive device
-        // before serving the primary batch; the first completion wins
-        // and the loser is an audited discard. hedgeOldestOn stores no
-        // result, so outputs are bit-identical to the unhedged run.
-        const QueuedArrival head = q.front();
-        bool hedged = false;
-        ShardBatch hb;
-        int hedge_dev = -1;
-        int hedge_stream = 0;
-        if (resil && resil->hedgeReady() &&
-            sharded_->aliveCount() > 1) {
-            const double now = std::max(host_free, group_->nowSec());
-            const double waited = now - head.arrivalSec;
-            if (waited > resil->hedgeDelaySec()) {
-                // Deterministic backup pick: alive, not the primary,
-                // shallowest queue, ties to the lowest device id.
-                for (int dd = 0; dd < devices; ++dd) {
-                    if (dd == d || sharded_->isDead(dd))
-                        continue;
-                    if (hedge_dev < 0 ||
-                        queued_arrivals[static_cast<std::size_t>(dd)]
-                                .size() <
-                            queued_arrivals[static_cast<std::size_t>(
-                                                hedge_dev)]
-                                .size())
-                        hedge_dev = dd;
-                }
-                if (hedge_dev >= 0) {
-                    hedge_stream =
-                        clocks[static_cast<std::size_t>(hedge_dev)]
-                            .pickStream();
-                    hb = sharded_->hedgeOldestOn(d, hedge_dev,
-                                                 hedge_stream);
-                    hedged = hb.cost.requests > 0;
-                    if (hedged)
-                        resil->recordHedge(head.id,
-                                           static_cast<std::size_t>(d),
-                                           hedge_dev, now, waited);
-                }
-            }
-        }
-
-        const ShardBatch sb = sharded_->serveOldestOn(d, batch, s);
-        // All-gather root: device 0 unless it has been quarantined,
-        // then the lowest survivor.
-        int root = 0;
-        while (root < devices && sharded_->isDead(root))
-            ++root;
-        if (root >= devices)
-            root = d;
-        const Placed pt = place(d, s, sb, root);
-        const double done = pt.done;
-
-        double head_done = done;
-        if (hedged) {
-            const Placed ph = place(hedge_dev, hedge_stream, hb, root);
-            const bool hedge_won = ph.done < done;
-            head_done = std::min(done, ph.done);
-            resil->recordHedgeOutcome(head.id, hedge_dev, head_done,
-                                      hedge_won);
-            if (obs::enabled())
-                obs::tracer().complete(
-                    "tick/hedge", "online", ph.execStart,
-                    hb.cost.execSec, hedge_dev, hedge_stream,
-                    "\"batch\":1");
-            last_completion = std::max(last_completion, ph.done);
-        }
-        group_->advanceTo(std::max(done, last_completion));
-
-        const double halo_total = [&] {
-            double b = 0.0;
-            for (const auto &[owner, bytes] : sb.haloBytesByOwner)
-                b += bytes;
-            return b;
-        }();
-        if (obs::enabled()) {
-            if (pt.commDone > pt.issueDone)
-                obs::tracer().complete(
-                    "halo", "comm", pt.issueDone,
-                    pt.commDone - pt.issueDone, d, s,
-                    "\"bytes\":" + obs::jsonNum(halo_total));
-            obs::tracer().complete(
-                "tick", "online", pt.execStart, sb.cost.execSec, d, s,
-                "\"batch\":" + std::to_string(batch));
-            if (d != root)
-                obs::tracer().complete(
-                    "gather", "comm", pt.execDone, done - pt.execDone, d,
-                    s, "\"bytes\":" + obs::jsonNum(sb.gatherBytes));
-        }
-
-        policy->observe(static_cast<std::size_t>(d), sb.cost);
-        batchSizes_.push_back(batch);
-        ++rep.ticks;
-
-        for (std::size_t i = 0; i < batch; ++i) {
-            const QueuedArrival req = q.front();
-            q.pop_front();
-            const double done_at = i == 0 ? head_done : done;
-            const double lat = done_at - req.arrivalSec;
-            const double delay =
-                std::max(0.0, pt.execStart - req.arrivalSec);
-            latencies_sec.push_back(lat);
-            queue_delays_sec.push_back(delay);
-            latenciesMs_.push_back(lat * 1e3);
-            queueDelaysMs_.push_back(delay * 1e3);
-            if (resil)
-                resil->observeLatency(lat);
-            if (flight_) {
-                if (pt.commDone > pt.issueDone)
-                    flight_->event(req.id, "halo", pt.commDone, d,
-                                   "bytes=" + obs::jsonNum(halo_total));
-                flight_->event(req.id, "exec-start", pt.execStart, d,
-                               "stream=" + std::to_string(s));
-                if (d != root)
-                    flight_->event(
-                        req.id, "all-gather", done, d,
-                        "bytes=" + obs::jsonNum(sb.gatherBytes));
-                flight_->event(req.id, "completion", done_at, d,
-                               "latency_ms=" + obs::jsonNum(lat * 1e3));
-            }
-            if (obs::enabled())
-                obs::metrics()
-                    .histogram("online.latency_ms")
-                    .observe(lat * 1e3);
-        }
-        served += batch;
-        if (resil)
-            resil->noteSuccess(static_cast<std::size_t>(d), done);
-        last_completion = std::max(last_completion, done);
-    }
-
-    finalizeOnlineReport(rep, served, last_completion, latencies_sec,
-                         queue_delays_sec, cfg_.serving.deadlineMs,
-                         shed_total, failed_total);
-    applyResilienceStats(rep, resil.get());
-
-    rep.interconnectMs =
-        (group_->interconnect().totalBusySec() - ic_busy_before) * 1e3;
-    fillCacheStats(rep, sharded_->planCache().stats());
-    rep.launches = group_->totalLaunches() - launches_before;
+    std::unique_ptr<TickLoop> loop;
+    if (sharded_)
+        loop = std::make_unique<ShardedLoop>(cfg_, flight_, *sharded_,
+                                             *group_);
+    else
+        loop = std::make_unique<EngineLoop>(cfg_, flight_, *engine_,
+                                            multiTenant());
+    // The single-device and sharded lanes share the server's batcher
+    // (exposed via batcher()); variant lanes each own one.
+    if (!multiTenant())
+        loop->setup.sharedBatcher = &batcher_;
+    const OnlineReport rep = loop->run(buildPolicy(loop->setup));
+    latenciesMs_ = std::move(loop->latenciesMs);
+    queueDelaysMs_ = std::move(loop->queueDelaysMs);
+    batchSizes_ = std::move(loop->batchSizes);
     return rep;
 }
 

@@ -3,8 +3,8 @@
  * Online arrival serving: open-loop load, deadline SLOs, adaptive
  * micro-batching.
  *
- * PR 1's ServingSession models a closed cycle: submit everything, then
- * drain. A production deployment instead faces an *open loop* — the
+ * Engine::drain models a closed cycle: submit everything, then drain.
+ * A production deployment instead faces an *open loop* — the
  * world keeps issuing requests at its own rate whether or not the
  * server keeps up — and is judged on arrival-relative tail latency and
  * deadline attainment, not just peak throughput. This module adds that
@@ -16,10 +16,11 @@
  *    an optional two-state MMPP mode (ServingConfig::mmpp) modulates
  *    the rate between baseline and burst states for bursty traffic,
  *    drawn from the same seeded stream;
- *  - OnlineServer wraps a ServingSession (or, multi-tenant, an Engine)
- *    and serves in timed ticks through one lane loop — one unlabelled
- *    lane in single-device mode, one lane per variant otherwise:
- *    arrivals are admitted as the host clock passes them (each paying
+ *  - OnlineServer serves an Engine (single-device: an owned one with
+ *    the one variant "default"; multi-tenant: the caller's) in timed
+ *    ticks through one lane loop — one unlabelled lane in
+ *    single-device mode, one lane per variant otherwise: arrivals
+ *    are admitted as the host clock passes them (each paying
  *    its modeled host-to-device transfer), one micro-batch is issued
  *    per tick, and completions are gated on host serialization, stream
  *    availability, and the shared-resource serial fraction — the same
@@ -36,12 +37,13 @@
  *    of growing with the queue.
  *
  * Constructed over a sim::DeviceGroup instead of a single Runtime, the
- * server drives a ShardedSession through its own loop, one lane per
+ * server drives a ShardedSession through the same loop, one lane per
  * device: arrivals are admitted on the shared (PCIe) host clock and
  * routed to their home shard, each device issues batches on its own
- * driver thread and streams (the lane loop's clock, per device), batch
- * execution is additionally gated on the halo exchange over the
- * modeled interconnect, and results all-gather onto device 0.
+ * driver thread and streams, batch execution is additionally gated on
+ * the halo exchange over the modeled interconnect, and results
+ * all-gather onto device 0. Only the backend differs between the
+ * modes; the tick loop is one.
  */
 
 #ifndef HECTOR_SERVE_ONLINE_HH
@@ -55,7 +57,6 @@
 
 #include "serve/engine.hh"
 #include "serve/scheduler_policy.hh"
-#include "serve/session.hh"
 #include "serve/sharded.hh"
 
 namespace hector::serve
@@ -87,12 +88,8 @@ class LoadGenerator
 {
   public:
     LoadGenerator(double rate_per_sec, std::size_t count,
-                  std::uint64_t seed);
-    LoadGenerator(double rate_per_sec, std::size_t count,
-                  std::uint64_t seed, const MmppSpec &mmpp);
-    LoadGenerator(double rate_per_sec, std::size_t count,
-                  std::uint64_t seed, const MmppSpec &mmpp,
-                  const DiurnalSpec &diurnal);
+                  std::uint64_t seed, const MmppSpec &mmpp = {},
+                  const DiurnalSpec &diurnal = {});
 
     /** Trace replay: arrivals at exactly @p times_sec (non-decreasing,
      *  non-negative; throws std::invalid_argument otherwise). */
@@ -119,11 +116,8 @@ class LoadGenerator
     /** The whole arrival sequence, for tests and sweeps. */
     static std::vector<double> arrivals(double rate_per_sec,
                                         std::size_t count,
-                                        std::uint64_t seed);
-    static std::vector<double> arrivals(double rate_per_sec,
-                                        std::size_t count,
                                         std::uint64_t seed,
-                                        const MmppSpec &mmpp);
+                                        const MmppSpec &mmpp = {});
 
   private:
     double ratePerSec_;
@@ -282,13 +276,18 @@ struct OnlineReport : ServingReport
 };
 
 /**
- * Open-loop server: a LoadGenerator feeding a ServingSession in timed
- * ticks on the simulated clock.
+ * Open-loop server: LoadGenerators feeding an Engine or a
+ * ShardedSession in timed ticks on the simulated clock.
  */
 class OnlineServer
 {
   public:
-    /** Single simulated device (the PR 2 path). */
+    /**
+     * Single simulated device: the server builds and owns an Engine
+     * serving @p model_source as the one variant "default". Throws
+     * std::invalid_argument on an invalid cfg.serving before any
+     * engine state is built.
+     */
     OnlineServer(const graph::HeteroGraph &g, tensor::Tensor host_features,
                  std::string model_source, OnlineConfig cfg,
                  sim::Runtime &rt);
@@ -313,21 +312,20 @@ class OnlineServer
     /** Serve all configured arrivals to completion. */
     OnlineReport run();
 
-    /** The wrapped single-device session; throws in other modes. */
-    ServingSession &session();
     /** The wrapped sharded session; throws in other modes. */
     ShardedSession &sharded();
-    /** The served engine; throws outside multi-tenant mode. */
+    /** The served engine (owned in single-device mode, the caller's in
+     *  multi-tenant mode); throws in sharded mode. */
     Engine &engine();
     /**
-     * The single-session adaptive batcher. Throws in multi-tenant
-     * mode, where each variant lane owns its own batcher and this one
-     * would never observe any traffic.
+     * The single-device / sharded adaptive batcher. Throws in
+     * multi-tenant mode, where each variant lane owns its own batcher
+     * and this one would never observe any traffic.
      */
     const AdaptiveBatcher &
     batcher() const
     {
-        if (engine_)
+        if (multiTenant())
             throw std::runtime_error(
                 "OnlineServer::batcher: multi-tenant mode batches per "
                 "variant lane");
@@ -337,8 +335,8 @@ class OnlineServer
 
     /**
      * Attach a per-request flight recorder to the whole serving path:
-     * forwarded to the wrapped engine/session/sharded session (their
-     * enqueue/plan/batch events) and used by the tick loops for
+     * forwarded to the served engine or sharded session (their
+     * enqueue/plan/batch events) and used by the tick loop for
      * arrival/admission/exec/completion lifecycle events. nullptr
      * detaches. The recorder must outlive the server or be detached.
      */
@@ -359,10 +357,7 @@ class OnlineServer
     }
 
   private:
-    /** The lane tick loop: one unlabelled lane over the session's
-     *  engine (single-device) or one lane per VariantLoad. */
-    OnlineReport runLanes();
-    OnlineReport runSharded();
+    bool multiTenant() const { return engine_ && !ownedEngine_; }
 
     /** Resolve cfg_ (makePolicy > policy name > adaptive flag) into a
      *  policy instance over @p setup's lanes. */
@@ -370,16 +365,13 @@ class OnlineServer
 
     OnlineConfig cfg_;
     /**
-     * The mode: exactly one of session_ (single device), group_ +
-     * sharded_ (sharded) or engine_ (multi-tenant) is set. The single
-     * device and multi-tenant modes both serve through runLanes();
-     * engine_ stays null in single-device mode so engine() keeps
-     * throwing there.
+     * The mode: group_ + sharded_ (sharded), or engine_ — the owned
+     * ownedEngine_ (single device) or the caller's (multi-tenant).
      */
     sim::DeviceGroup *group_ = nullptr;
-    Engine *engine_ = nullptr;
-    std::unique_ptr<ServingSession> session_;
     std::unique_ptr<ShardedSession> sharded_;
+    std::unique_ptr<Engine> ownedEngine_;
+    Engine *engine_ = nullptr;
     /** Cost model shared by every lane of the single-device and
      *  sharded modes (multi-tenant lanes each own one). */
     AdaptiveBatcher batcher_;

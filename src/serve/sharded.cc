@@ -40,7 +40,7 @@ ShardedSession::ShardedSession(const graph::HeteroGraph &g,
     if (hostFeatures_.dim(1) != cfg_.serving.din)
         throw std::runtime_error(
             "ShardedSession: host feature dim != config din");
-    // Same seeding order as ServingSession / the engine registry:
+    // Same seeding order as the engine registry:
     // weights are drawn from the pristine program *before* any
     // sampling, so the single-device and sharded sessions consume
     // identical RNG streams (initVariantWeights is the one
@@ -108,15 +108,10 @@ ShardedSession::homeShard(const graph::Minibatch &mb) const
     // devices are never candidates; with every device alive the math
     // is exactly the pre-fault-tolerance formula, so routing (and the
     // whole timeline) stays bit-identical on fault-free runs.
-    const std::int64_t k = group_.size();
     const std::int64_t alive = aliveCount();
     if (alive == 0)
         throw std::runtime_error(
             "ShardedSession: no surviving devices to route to");
-    std::vector<std::int64_t> owned(static_cast<std::size_t>(k), 0);
-    for (std::int64_t v : mb.nodeMap)
-        ++owned[static_cast<std::size_t>(
-            partition_.shardOf[static_cast<std::size_t>(v)])];
     const std::int64_t total =
         static_cast<std::int64_t>(queued()) + 1;
     const std::int64_t cap = (total + alive - 1) / alive + 1;
@@ -124,20 +119,36 @@ ShardedSession::homeShard(const graph::Minibatch &mb) const
     // device is unmasked, so routing always makes progress.
     bool use_avoid = false;
     if (!routeAvoid_.empty())
-        for (int s = 0; s < k; ++s)
+        for (int s = 0; s < group_.size(); ++s)
             if (!dead_[static_cast<std::size_t>(s)] &&
                 !routeAvoid_[static_cast<std::size_t>(s)])
                 use_avoid = true;
+    return scoreShard(mb, queues_, cap, use_avoid);
+}
+
+int
+ShardedSession::scoreShard(const graph::Minibatch &mb,
+                           const std::vector<std::vector<Request>> &loads,
+                           std::int64_t cap, bool use_avoid) const
+{
+    const int k = group_.size();
+    std::vector<std::int64_t> owned(static_cast<std::size_t>(k), 0);
+    for (std::int64_t v : mb.nodeMap)
+        ++owned[static_cast<std::size_t>(
+            partition_.shardOf[static_cast<std::size_t>(v)])];
+    auto candidate = [&](int s) {
+        return !dead_[static_cast<std::size_t>(s)] &&
+               !(use_avoid && routeAvoid_[static_cast<std::size_t>(s)]);
+    };
     int best = -1;
     std::int64_t best_score = -1;
     for (int s = 0; s < k; ++s) {
-        if (dead_[static_cast<std::size_t>(s)])
+        if (!candidate(s))
             continue;
-        if (use_avoid && routeAvoid_[static_cast<std::size_t>(s)])
-            continue;
-        const std::int64_t load = static_cast<std::int64_t>(
-            queues_[static_cast<std::size_t>(s)].size());
-        const std::int64_t headroom = cap - load;
+        const std::int64_t headroom =
+            cap -
+            static_cast<std::int64_t>(loads[static_cast<std::size_t>(s)]
+                                          .size());
         if (headroom <= 0)
             continue;
         const std::int64_t score =
@@ -150,11 +161,7 @@ ShardedSession::homeShard(const graph::Minibatch &mb) const
     if (best >= 0)
         return best;
     for (int s = 0; s < k; ++s)
-        if (!dead_[static_cast<std::size_t>(s)] &&
-            (!use_avoid || !routeAvoid_[static_cast<std::size_t>(s)]))
-            return s;
-    for (int s = 0; s < k; ++s)
-        if (!dead_[static_cast<std::size_t>(s)])
+        if (candidate(s))
             return s;
     return 0;
 }
@@ -699,8 +706,8 @@ ShardedSession::drain()
                 "survivors to replay on");
         const int root2 = lowest_alive();
 
-        // Route each lost request to a survivor by the same
-        // affinity x headroom rule, over the replay load alone.
+        // Route each lost request to a survivor by homeShard's
+        // affinity x headroom scorer, over the replay load alone.
         std::vector<std::vector<Request>> replay_q(
             static_cast<std::size_t>(group_.size()));
         std::size_t n_lost = 0;
@@ -711,34 +718,7 @@ ShardedSession::drain()
             (static_cast<std::int64_t>(n_lost) + alive - 1) / alive + 1;
         for (LostBatch &lb : lost)
             for (Request &r : lb.reqs) {
-                std::vector<std::int64_t> owned(
-                    static_cast<std::size_t>(group_.size()), 0);
-                for (std::int64_t v : r.mb.nodeMap)
-                    ++owned[static_cast<std::size_t>(
-                        partition_.shardOf[static_cast<std::size_t>(
-                            v)])];
-                int best = -1;
-                std::int64_t best_score = -1;
-                for (int s = 0; s < group_.size(); ++s) {
-                    if (dead_[static_cast<std::size_t>(s)])
-                        continue;
-                    const std::int64_t headroom =
-                        rcap - static_cast<std::int64_t>(
-                                   replay_q[static_cast<std::size_t>(
-                                                s)]
-                                       .size());
-                    if (headroom <= 0)
-                        continue;
-                    const std::int64_t score =
-                        (owned[static_cast<std::size_t>(s)] + 1) *
-                        headroom;
-                    if (score > best_score) {
-                        best = s;
-                        best_score = score;
-                    }
-                }
-                if (best < 0)
-                    best = root2;
+                const int best = scoreShard(r.mb, replay_q, rcap, false);
                 if (fi)
                     fi->noteReroute(r.id, lb.from, best, lb.tFail);
                 ++report.requestsRerouted;
@@ -968,19 +948,26 @@ ShardedSession::serveOldestOn(int device, std::size_t n, int stream)
             results_.insert_or_assign(q[i].id, outs[i].clone());
     }
 
+    popOldest(device, n);
+    return out;
+}
+
+void
+ShardedSession::popOldest(int device, std::size_t n)
+{
     // Rebase this device's transfer bookkeeping exactly like
-    // ServingSession::serveOldest: the served requests' cumulative
-    // transfer time leaves this submit epoch with them, so a later
-    // drain() only charges the transfers of the requests it actually
-    // serves. submitSec is non-decreasing along the queue, so the
-    // remaining entries stay non-negative.
+    // Engine::serveOldest: the popped requests' cumulative transfer
+    // time leaves this submit epoch with them, so a later drain() only
+    // charges the transfers of the requests it actually serves.
+    // submitSec is non-decreasing along the queue, so the remaining
+    // entries stay non-negative.
+    auto &q = queues_[static_cast<std::size_t>(device)];
     const double served_host_sec = q[n - 1].submitSec;
     q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(n));
     double &pending = pendingHostSec_[static_cast<std::size_t>(device)];
     pending = std::max(0.0, pending - served_host_sec);
     for (Request &r : q)
         r.submitSec = std::max(0.0, r.submitSec - served_host_sec);
-    return out;
 }
 
 std::vector<std::uint64_t>
@@ -996,14 +983,9 @@ ShardedSession::dropOldestOn(int device, std::size_t n)
     ids.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         ids.push_back(q[i].id);
-    // Rebase exactly like serveOldestOn: the cancelled requests'
-    // submit transfers already happened and leave with them.
-    const double served_host_sec = q[n - 1].submitSec;
-    q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(n));
-    double &pending = pendingHostSec_[static_cast<std::size_t>(device)];
-    pending = std::max(0.0, pending - served_host_sec);
-    for (Request &r : q)
-        r.submitSec = std::max(0.0, r.submitSec - served_host_sec);
+    // The cancelled requests' submit transfers already happened and
+    // leave with them, exactly as if served.
+    popOldest(device, n);
     return ids;
 }
 

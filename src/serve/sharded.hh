@@ -2,8 +2,8 @@
  * @file
  * Multi-device sharded serving.
  *
- * A ShardedSession is the multi-device counterpart of ServingSession:
- * one model, one host-resident graph, N simulated devices. At
+ * A ShardedSession is the multi-device counterpart of a one-variant
+ * Engine: one model, one host-resident graph, N simulated devices. At
  * construction the host graph is cut into N shards by the
  * deterministic edge-cut partitioner (graph::partitionGraph) and the
  * replicated weights are broadcast over the modeled interconnect. Each
@@ -28,8 +28,8 @@
  * each device's queued structure transfers serialize on its own DMA
  * path while devices overlap (pendingHostSec_); the online loop
  * instead admits every arrival on the host's single admission thread,
- * so there structure transfers serialize globally (see
- * OnlineServer::runSharded).
+ * so there structure transfers serialize globally (see the sharded
+ * backend of OnlineServer's tick loop).
  *
  * Every primary batch, in drain() and serveOldestOn() alike, runs
  * under serve::guardedRun — the one ASPIS duplicate -> checksum ->
@@ -52,7 +52,7 @@
 
 #include "graph/partition.hh"
 #include "obs/flight_recorder.hh"
-#include "serve/session.hh"
+#include "serve/engine.hh"
 #include "sim/device_group.hh"
 
 namespace hector::serve
@@ -129,7 +129,7 @@ class ShardedSession
      * @param model_source  model in the textual DSL (model_sources.hh)
      * @param group         simulated devices; group.size() shards
      *
-     * Seeding matches ServingSession exactly (weights first, then the
+     * Seeding matches an Engine variant exactly (weights first, then the
      * request-sampling stream), so a ShardedSession with the same
      * config serves the identical request stream with identical
      * weights — the basis of the golden determinism tests.
@@ -173,7 +173,7 @@ class ShardedSession
     /**
      * Serve the min(n, queuedOn(device)) oldest requests of @p device
      * as ONE micro-batch on @p stream, retaining results. Like
-     * ServingSession::serveOldest, no timeline is imposed: the online
+     * Engine::serveOldest, no timeline is imposed: the online
      * layer owns the clock and charges the returned halo/gather bytes
      * on the group interconnect itself. Also like serveOldest, the
      * device's transfer bookkeeping is rebased after the pop, so a
@@ -296,6 +296,16 @@ class ShardedSession
     /** One cached-plan lookup through the shared PlanCompiler. */
     std::shared_ptr<const core::CompiledModel> compiledPlan();
     int homeShard(const graph::Minibatch &mb) const;
+    /**
+     * The affinity x headroom scorer of homeShard and the drain's
+     * replay router: among alive devices (minus route-avoided ones
+     * when @p use_avoid) whose load in @p loads is below @p cap, the
+     * one maximizing (vertices of @p mb it owns + 1) x headroom; the
+     * lowest such device when every one is at the cap.
+     */
+    int scoreShard(const graph::Minibatch &mb,
+                   const std::vector<std::vector<Request>> &loads,
+                   std::int64_t cap, bool use_avoid) const;
     SubmitInfo enqueue(int home, graph::Minibatch mb,
                        tensor::Tensor feature, double submit_sec);
     /**
@@ -306,6 +316,9 @@ class ShardedSession
     std::vector<std::pair<int, double>>
     batchHaloBytes(const std::vector<const Request *> &reqs, int home,
                    double *host_fallback_bytes) const;
+    /** Pop @p device's @p n (> 0) oldest requests and rebase its
+     *  transfer bookkeeping. */
+    void popOldest(int device, std::size_t n);
     /** Execute @p reqs as one micro-batch on device @p d. */
     std::vector<tensor::Tensor>
     runBatch(const core::CompiledModel &plan,

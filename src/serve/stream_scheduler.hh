@@ -51,7 +51,7 @@ struct StreamRunCost
  * kernel-exec deltas plus the host-serialized time delta), leaving the
  * runtime back on the default stream. The one place the per-batch cost
  * measurement convention lives: StreamScheduler::run,
- * ServingSession::serveOldest and ShardedSession::serveOldestOn all
+ * Engine::serveOldest and ShardedSession::serveOldestOn all
  * price batches through it.
  */
 StreamRunCost runOnStream(sim::Runtime &rt, int stream,

@@ -27,7 +27,7 @@
 #include "graph/datasets.hh"
 #include "models/models.hh"
 #include "models/model_sources.hh"
-#include "serve/session.hh"
+#include "serve/engine.hh"
 #include "tensor/block_kernels.hh"
 #include "util/thread_pool.hh"
 
@@ -343,15 +343,16 @@ TEST_F(ExecDeterminism, ServingDrainIsThreadCountInvariant)
         cfg.sample.numSeeds = 6;
         cfg.sample.fanout = 3;
         cfg.seed = 2024;
-        serve::ServingSession session(g, host_features,
-                                      models::kHgtSource, cfg, rt);
+        serve::Engine eng(g, serve::engineConfigFor(cfg), rt);
+        eng.registerVariant("default", host_features, models::kHgtSource,
+                            cfg);
         std::vector<std::uint64_t> ids;
         for (int i = 0; i < 10; ++i)
-            ids.push_back(session.submit());
-        const serve::ServingReport rep = session.drain();
+            ids.push_back(eng.submit(0));
+        const serve::ServingReport rep = eng.drain();
         std::vector<std::vector<float>> outs;
         for (std::uint64_t id : ids) {
-            const Tensor *o = session.result(id);
+            const Tensor *o = eng.result(id);
             EXPECT_NE(o, nullptr);
             outs.emplace_back(o->data(), o->data() + o->numel());
         }

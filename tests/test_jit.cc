@@ -2,9 +2,10 @@
  * @file
  * Tests for the host JIT backend (core/jit): env parsing, compile +
  * execute bit-identity against the seed interpreter, fallback
- * counting with HECTOR_JIT=off, PlanCache byte accounting of dlopened
- * artifacts, and eviction unload semantics (pinned plans keep their
- * module loaded; unpinned eviction dlcloses).
+ * counting with HECTOR_JIT=off, artifact names keyed by compiler and
+ * host, PlanCache byte accounting of dlopened artifacts, and eviction
+ * unload semantics (pinned plans keep their module loaded; unpinned
+ * eviction dlcloses).
  */
 
 #include <gtest/gtest.h>
@@ -168,6 +169,44 @@ TEST(JitStats, RepeatCompileHitsCache)
     EXPECT_GE(s.cacheHits, 1u);
     // Both plans share one loaded module.
     EXPECT_EQ(plan.jit.get(), again.jit.get());
+}
+
+/** An artifact's name covers the compiler and the host CPU, so a
+ *  restored artifact directory never serves a foreign build. */
+TEST(JitArtifact, NameCoversCompilerAndHost)
+{
+    const std::string src = "extern \"C\" int f() { return 1; }";
+    const std::string avx2 = "c++\ng++ 12.2.0\n fpu sse2 avx2";
+    const std::string avx512 = "c++\ng++ 12.2.0\n fpu sse2 avx2 avx512f";
+    const std::string clang = "clang++\nclang 16.0.6\n fpu sse2 avx2";
+    EXPECT_EQ(jit::artifactStem(src, avx2), jit::artifactStem(src, avx2));
+    EXPECT_NE(jit::artifactStem(src, avx2), jit::artifactStem(src, avx512));
+    EXPECT_NE(jit::artifactStem(src, avx2), jit::artifactStem(src, clang));
+    EXPECT_NE(jit::artifactStem(src, avx2),
+              jit::artifactStem(src + " ", avx2));
+
+    // This host's identity names the compiler and is stable.
+    const std::string &id = jit::hostIdentity();
+    EXPECT_FALSE(id.empty());
+    EXPECT_EQ(&id, &jit::hostIdentity());
+}
+
+TEST(JitArtifact, CompiledModuleIsNamedByHostIdentity)
+{
+    if (!jit::toolchainAvailable())
+        GTEST_SKIP() << "no host compiler";
+    KnobGuard guard;
+    jit::setJitMode(jit::JitMode::On);
+
+    graph::HeteroGraph g = graph::toyCitationGraph();
+    core::CompiledModel plan = core::compile(
+        models::buildModel(models::ModelKind::Rgcn, g, 20, 20),
+        core::CompileOptions{});
+    ASSERT_TRUE(jit::attach(plan));
+    const std::string stem =
+        jit::artifactStem(plan.code.cpuSource, jit::hostIdentity());
+    EXPECT_NE(plan.jit->path().find(stem + ".so"), std::string::npos)
+        << plan.jit->path();
 }
 
 /** The PlanCache charges the dlopened artifact against its budget. */

@@ -16,7 +16,7 @@
 #include "graph/datasets.hh"
 #include "models/models.hh"
 #include "models/model_sources.hh"
-#include "serve/session.hh"
+#include "serve/engine.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -196,7 +196,7 @@ TEST(MemoryPlan, ExecutionViaArenaMatchesLegacyBitwise)
 
 TEST(MemoryPlan, PooledContextIsFullyReinitializedBetweenRequests)
 {
-    // One session with pooled arena contexts vs one with the legacy
+    // One engine with pooled arena contexts vs one with the legacy
     // allocate-per-request path, identical request streams: every
     // cycle's outputs must match bitwise. The second cycle runs over
     // *dirty* pooled buffers, so any missed reinitialization shows up
@@ -216,16 +216,17 @@ TEST(MemoryPlan, PooledContextIsFullyReinitializedBetweenRequests)
         cfg.sample.fanout = 3;
         cfg.seed = 4711;
         cfg.useArena = arena;
-        serve::ServingSession session(g, host_features,
-                                      models::kRgatSource, cfg, rt);
+        serve::Engine eng(g, serve::engineConfigFor(cfg), rt);
+        eng.registerVariant("default", host_features, models::kRgatSource,
+                            cfg);
         std::vector<std::vector<float>> outs;
         for (int cyc = 0; cyc < 3; ++cyc) {
             std::vector<std::uint64_t> ids;
             for (int i = 0; i < 8; ++i)
-                ids.push_back(session.submit());
-            session.drain();
+                ids.push_back(eng.submit(0));
+            eng.drain();
             for (std::uint64_t id : ids) {
-                const Tensor *o = session.result(id);
+                const Tensor *o = eng.result(id);
                 EXPECT_NE(o, nullptr);
                 outs.emplace_back(o->data(), o->data() + o->numel());
             }

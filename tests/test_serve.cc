@@ -4,7 +4,7 @@
  * hits return bit-identical outputs with zero additional pass work,
  * micro-batched execution preserves per-request results while issuing
  * fewer launches, multi-stream scheduling is monotonically
- * non-increasing in modeled time, and the ServingSession façade's
+ * non-increasing in modeled time, and a one-variant Engine's
  * batched+multi-stream configuration beats unbatched single-stream
  * serving per request (the paper's compile-once design turned into a
  * throughput-serving system).
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <utility>
@@ -20,9 +21,9 @@
 #include "core/frontend.hh"
 #include "graph/datasets.hh"
 #include "models/model_sources.hh"
+#include "serve/engine.hh"
 #include "serve/micro_batch.hh"
 #include "serve/plan_cache.hh"
-#include "serve/session.hh"
 #include "serve/stream_scheduler.hh"
 
 namespace
@@ -43,6 +44,18 @@ hostFeatures(const graph::HeteroGraph &g, std::int64_t dim,
 {
     std::mt19937_64 rng(seed);
     return Tensor::uniform({g.numNodes(), dim}, rng, 0.5f);
+}
+
+/** An engine serving @p source as its one variant "default" (id 0). */
+std::unique_ptr<serve::Engine>
+oneVariantEngine(const graph::HeteroGraph &g, Tensor host,
+                 const std::string &source, const serve::ServingConfig &cfg,
+                 sim::Runtime &rt)
+{
+    auto eng = std::make_unique<serve::Engine>(
+        g, serve::engineConfigFor(cfg), rt);
+    eng->registerVariant("default", std::move(host), source, cfg);
+    return eng;
 }
 
 /** Run one request standalone (no batching) with @p plan. */
@@ -206,17 +219,17 @@ TEST(PlanCache, HitMissCountersExactAcrossRepeatedDrains)
     cfg.dout = 8;
     cfg.sample.numSeeds = 16;
     cfg.sample.fanout = 4;
-    serve::ServingSession session(g, host, models::kRgcnSource, cfg, rt);
+    auto eng = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt);
 
     // Each drain cycle performs exactly one cache lookup: the first
     // misses (compiles), every later one hits.
     for (std::uint64_t cycle = 1; cycle <= 5; ++cycle) {
-        session.submit();
-        session.submit();
-        session.drain();
-        EXPECT_EQ(session.planCache().stats().misses, 1u)
+        eng->submit(0);
+        eng->submit(0);
+        eng->drain();
+        EXPECT_EQ(eng->planCache().stats().misses, 1u)
             << "cycle " << cycle;
-        EXPECT_EQ(session.planCache().stats().hits, cycle - 1)
+        EXPECT_EQ(eng->planCache().stats().hits, cycle - 1)
             << "cycle " << cycle;
     }
 }
@@ -400,7 +413,7 @@ TEST(MicroBatch, SingleRequestBatchMatchesStandalone)
     }
 }
 
-TEST(ServingSession, MaxBatchVariantsServeIdenticalResults)
+TEST(OneVariantEngine, MaxBatchVariantsServeIdenticalResults)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor host = hostFeatures(g, 8, 25);
@@ -421,18 +434,17 @@ TEST(ServingSession, MaxBatchVariantsServeIdenticalResults)
         cfg.sample.numSeeds = 16;
         cfg.sample.fanout = 4;
         cfg.seed = 555; // identical request stream per case
-        serve::ServingSession session(g, host, models::kRgcnSource, cfg,
-                                      rt);
+        auto eng = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt);
         std::vector<std::uint64_t> ids;
         for (std::size_t i = 0; i < n_requests; ++i)
-            ids.push_back(session.submit());
-        const serve::ServingReport rep = session.drain();
+            ids.push_back(eng->submit(0));
+        const serve::ServingReport rep = eng->drain();
         EXPECT_EQ(rep.requests, n_requests);
         EXPECT_EQ(rep.batches, want_batches)
             << "maxBatch " << max_batch;
         std::vector<Tensor> outs;
         for (std::uint64_t id : ids)
-            outs.push_back(session.result(id)->clone());
+            outs.push_back(eng->result(id)->clone());
         outs_by_case.push_back(std::move(outs));
     }
     for (std::size_t c = 1; c < cases.size(); ++c)
@@ -540,11 +552,10 @@ TEST(StreamScheduler, ModeledTimeMonotonicallyNonIncreasingInStreams)
         cfg.dout = 8;
         cfg.sample.numSeeds = 16;
         cfg.sample.fanout = 4;
-        serve::ServingSession session(g, host, models::kRgatSource, cfg,
-                                      rt);
+        auto eng = oneVariantEngine(g, host, models::kRgatSource, cfg, rt);
         for (int i = 0; i < 8; ++i)
-            session.submit();
-        const serve::ServingReport rep = session.drain();
+            eng->submit(0);
+        const serve::ServingReport rep = eng->drain();
         ASSERT_EQ(rep.requests, 8u);
         if (prev >= 0.0) {
             EXPECT_LE(rep.makespanMs, prev * (1.0 + 1e-9))
@@ -578,9 +589,9 @@ TEST(StreamScheduler, CompletionTimesGuardedForEmptyAndZeroWork)
     }
 }
 
-// ---------------------------------------------------------------- session
+// ------------------------------------------------------- one-variant engine
 
-TEST(ServingSession, EmptyDrainReturnsZeroedReport)
+TEST(OneVariantEngine, EmptyDrainReturnsZeroedReport)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor host = hostFeatures(g, 8, 42);
@@ -590,11 +601,11 @@ TEST(ServingSession, EmptyDrainReturnsZeroedReport)
     cfg.dout = 8;
     cfg.sample.numSeeds = 16;
     cfg.sample.fanout = 4;
-    serve::ServingSession session(g, host, models::kRgcnSource, cfg, rt);
+    auto eng = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt);
 
     // Draining an empty queue has no makespan to divide by: every
     // metric must come back zeroed and finite, not NaN/inf.
-    const serve::ServingReport rep = session.drain();
+    const serve::ServingReport rep = eng->drain();
     EXPECT_EQ(rep.requests, 0u);
     EXPECT_EQ(rep.batches, 0u);
     EXPECT_EQ(rep.makespanMs, 0.0);
@@ -608,21 +619,21 @@ TEST(ServingSession, EmptyDrainReturnsZeroedReport)
     EXPECT_EQ(rep.launches, 0u);
     EXPECT_TRUE(std::isfinite(rep.throughputReqPerSec));
     EXPECT_TRUE(std::isfinite(rep.msPerRequest));
-    EXPECT_TRUE(session.lastLatenciesMs().empty());
+    EXPECT_TRUE(eng->lastLatenciesMs().empty());
 
     // An empty drain leaves retained results untouched and the
-    // session fully serviceable.
-    const std::uint64_t id = session.submit();
-    const serve::ServingReport rep2 = session.drain();
+    // engine fully serviceable.
+    const std::uint64_t id = eng->submit(0);
+    const serve::ServingReport rep2 = eng->drain();
     EXPECT_EQ(rep2.requests, 1u);
-    ASSERT_NE(session.result(id), nullptr);
-    const serve::ServingReport rep3 = session.drain(); // empty again
+    ASSERT_NE(eng->result(id), nullptr);
+    const serve::ServingReport rep3 = eng->drain(); // empty again
     EXPECT_EQ(rep3.requests, 0u);
-    EXPECT_NE(session.result(id), nullptr)
+    EXPECT_NE(eng->result(id), nullptr)
         << "an empty drain must not drop retained results";
 }
 
-TEST(ServingSession, DrainReportsArrivalAwarePercentilesAndSlo)
+TEST(OneVariantEngine, DrainReportsArrivalAwarePercentilesAndSlo)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor host = hostFeatures(g, 8, 43);
@@ -634,10 +645,10 @@ TEST(ServingSession, DrainReportsArrivalAwarePercentilesAndSlo)
     cfg.dout = 8;
     cfg.sample.numSeeds = 16;
     cfg.sample.fanout = 4;
-    serve::ServingSession session(g, host, models::kRgcnSource, cfg, rt);
+    auto eng = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt);
     for (int i = 0; i < 12; ++i)
-        session.submit();
-    const serve::ServingReport rep = session.drain();
+        eng->submit(0);
+    const serve::ServingReport rep = eng->drain();
 
     EXPECT_LE(rep.p50LatencyMs, rep.p95LatencyMs);
     EXPECT_LE(rep.p95LatencyMs, rep.p99LatencyMs);
@@ -653,23 +664,21 @@ TEST(ServingSession, DrainReportsArrivalAwarePercentilesAndSlo)
     serve::ServingConfig tight = cfg;
     tight.deadlineMs = 1e-12;
     sim::Runtime rt2;
-    serve::ServingSession strict(g, host, models::kRgcnSource, tight,
-                                 rt2);
+    auto strict = oneVariantEngine(g, host, models::kRgcnSource, tight, rt2);
     for (int i = 0; i < 6; ++i)
-        strict.submit();
-    EXPECT_EQ(strict.drain().sloAttainment, 0.0);
+        strict->submit(0);
+    EXPECT_EQ(strict->drain().sloAttainment, 0.0);
 
     serve::ServingConfig loose = cfg;
     loose.deadlineMs = 1e9;
     sim::Runtime rt3;
-    serve::ServingSession relaxed(g, host, models::kRgcnSource, loose,
-                                  rt3);
+    auto relaxed = oneVariantEngine(g, host, models::kRgcnSource, loose, rt3);
     for (int i = 0; i < 6; ++i)
-        relaxed.submit();
-    EXPECT_EQ(relaxed.drain().sloAttainment, 1.0);
+        relaxed->submit(0);
+    EXPECT_EQ(relaxed->drain().sloAttainment, 1.0);
 }
 
-TEST(ServingSession, ServeOldestMatchesDrainResultsIncrementally)
+TEST(OneVariantEngine, ServeOldestMatchesDrainResultsIncrementally)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor host = hostFeatures(g, 8, 44);
@@ -685,31 +694,30 @@ TEST(ServingSession, ServeOldestMatchesDrainResultsIncrementally)
     // Incremental serveOldest (3 + 2 + 1) against one closed drain of
     // the identical request stream.
     sim::Runtime rt_inc;
-    serve::ServingSession inc(g, host, models::kRgcnSource, cfg, rt_inc);
+    auto inc = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt_inc);
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 6; ++i)
-        ids.push_back(inc.submit());
-    serve::BatchCost c1 = inc.serveOldest(3);
-    serve::BatchCost c2 = inc.serveOldest(2);
-    serve::BatchCost c3 = inc.serveOldest(1);
+        ids.push_back(inc->submit(0));
+    serve::BatchCost c1 = inc->serveOldest(0, 3);
+    serve::BatchCost c2 = inc->serveOldest(0, 2);
+    serve::BatchCost c3 = inc->serveOldest(0, 1);
     EXPECT_EQ(c1.requests, 3u);
     EXPECT_EQ(c2.requests, 2u);
     EXPECT_EQ(c3.requests, 1u);
     EXPECT_GT(c1.execSec, 0.0);
     EXPECT_GT(c1.overheadSec, 0.0);
-    EXPECT_EQ(inc.queued(), 0u);
-    EXPECT_EQ(inc.serveOldest(4).requests, 0u) << "empty queue: zeroed";
+    EXPECT_EQ(inc->queued(), 0u);
+    EXPECT_EQ(inc->serveOldest(0, 4).requests, 0u) << "empty queue: zeroed";
 
     sim::Runtime rt_drain;
-    serve::ServingSession closed(g, host, models::kRgcnSource, cfg,
-                                 rt_drain);
+    auto closed = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt_drain);
     for (int i = 0; i < 6; ++i)
-        closed.submit();
-    closed.drain();
+        closed->submit(0);
+    closed->drain();
 
     for (std::uint64_t id : ids) {
-        const Tensor *a = inc.result(id);
-        const Tensor *b = closed.result(id);
+        const Tensor *a = inc->result(id);
+        const Tensor *b = closed->result(id);
         ASSERT_NE(a, nullptr);
         ASSERT_NE(b, nullptr);
         EXPECT_EQ(tensor::maxAbsDiff(*a, *b), 0.0f)
@@ -717,7 +725,7 @@ TEST(ServingSession, ServeOldestMatchesDrainResultsIncrementally)
     }
 }
 
-TEST(ServingSession, ServeOldestRebasesDrainTransferAccounting)
+TEST(OneVariantEngine, ServeOldestRebasesDrainTransferAccounting)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor host = hostFeatures(g, 8, 45);
@@ -734,34 +742,33 @@ TEST(ServingSession, ServeOldestRebasesDrainTransferAccounting)
     // requests {c, d} reports the identical timeline whether {a, b}
     // were first served from the same queue or in a separate cycle.
     sim::Runtime rt1;
-    serve::ServingSession separate(g, host, models::kRgcnSource, cfg,
-                                   rt1);
-    separate.submit(); // a
-    separate.submit(); // b
-    separate.serveOldest(2);
-    separate.submit(); // c
-    separate.submit(); // d
-    const serve::ServingReport rep1 = separate.drain();
+    auto separate = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt1);
+    separate->submit(0); // a
+    separate->submit(0); // b
+    separate->serveOldest(0, 2);
+    separate->submit(0); // c
+    separate->submit(0); // d
+    const serve::ServingReport rep1 = separate->drain();
 
     sim::Runtime rt2;
-    serve::ServingSession mixed(g, host, models::kRgcnSource, cfg, rt2);
+    auto mixed = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt2);
     for (int i = 0; i < 4; ++i)
-        mixed.submit(); // a, b, c, d
-    mixed.serveOldest(2);
-    const serve::ServingReport rep2 = mixed.drain();
+        mixed->submit(0); // a, b, c, d
+    mixed->serveOldest(0, 2);
+    const serve::ServingReport rep2 = mixed->drain();
 
     EXPECT_DOUBLE_EQ(rep1.makespanMs, rep2.makespanMs)
         << "a later drain must not be charged served requests' "
            "transfers";
     EXPECT_DOUBLE_EQ(rep1.meanLatencyMs, rep2.meanLatencyMs);
-    ASSERT_EQ(separate.lastLatenciesMs().size(),
-              mixed.lastLatenciesMs().size());
-    for (std::size_t i = 0; i < mixed.lastLatenciesMs().size(); ++i)
-        EXPECT_DOUBLE_EQ(separate.lastLatenciesMs()[i],
-                         mixed.lastLatenciesMs()[i]);
+    ASSERT_EQ(separate->lastLatenciesMs().size(),
+              mixed->lastLatenciesMs().size());
+    for (std::size_t i = 0; i < mixed->lastLatenciesMs().size(); ++i)
+        EXPECT_DOUBLE_EQ(separate->lastLatenciesMs()[i],
+                         mixed->lastLatenciesMs()[i]);
 }
 
-TEST(ServingSession, ReportAndResultsAreConsistent)
+TEST(OneVariantEngine, ReportAndResultsAreConsistent)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor host = hostFeatures(g, 8, 41);
@@ -773,15 +780,15 @@ TEST(ServingSession, ReportAndResultsAreConsistent)
     cfg.dout = 8;
     cfg.sample.numSeeds = 16;
     cfg.sample.fanout = 4;
-    serve::ServingSession session(g, host, models::kRgcnSource, cfg, rt);
+    auto eng = oneVariantEngine(g, host, models::kRgcnSource, cfg, rt);
 
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 9; ++i)
-        ids.push_back(session.submit());
-    EXPECT_EQ(session.queued(), 9u);
+        ids.push_back(eng->submit(0));
+    EXPECT_EQ(eng->queued(), 9u);
 
-    const serve::ServingReport rep = session.drain();
-    EXPECT_EQ(session.queued(), 0u);
+    const serve::ServingReport rep = eng->drain();
+    EXPECT_EQ(eng->queued(), 0u);
     EXPECT_EQ(rep.requests, 9u);
     EXPECT_EQ(rep.batches, 3u); // 4 + 4 + 1
     EXPECT_EQ(rep.cacheMisses, 1u);
@@ -789,23 +796,23 @@ TEST(ServingSession, ReportAndResultsAreConsistent)
     EXPECT_GT(rep.throughputReqPerSec, 0.0);
     EXPECT_GT(rep.launches, 0u);
     EXPECT_GE(rep.maxLatencyMs, rep.p50LatencyMs);
-    EXPECT_EQ(session.lastLatenciesMs().size(), 9u);
+    EXPECT_EQ(eng->lastLatenciesMs().size(), 9u);
 
     for (std::uint64_t id : ids) {
-        const Tensor *out = session.result(id);
+        const Tensor *out = eng->result(id);
         ASSERT_NE(out, nullptr);
         EXPECT_EQ(out->dim(1), 8);
         EXPECT_GT(out->dim(0), 0);
     }
 
     // A second cycle reuses the cached plan.
-    session.submit();
-    const serve::ServingReport rep2 = session.drain();
+    eng->submit(0);
+    const serve::ServingReport rep2 = eng->drain();
     EXPECT_EQ(rep2.cacheMisses, 1u);
     EXPECT_GE(rep2.cacheHits, 1u);
 }
 
-TEST(ServingSession, BatchedMultiStreamServesIdenticalResultsFaster)
+TEST(OneVariantEngine, BatchedMultiStreamServesIdenticalResultsFaster)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor host = hostFeatures(g, 8, 51);
@@ -821,14 +828,13 @@ TEST(ServingSession, BatchedMultiStreamServesIdenticalResultsFaster)
         cfg.sample.numSeeds = 16;
         cfg.sample.fanout = 4;
         cfg.seed = 777; // identical request streams across configs
-        serve::ServingSession session(g, host, models::kRgatSource, cfg,
-                                      rt);
+        auto eng = oneVariantEngine(g, host, models::kRgatSource, cfg, rt);
         std::vector<std::uint64_t> ids;
         for (int i = 0; i < 32; ++i)
-            ids.push_back(session.submit());
-        const serve::ServingReport rep = session.drain();
+            ids.push_back(eng->submit(0));
+        const serve::ServingReport rep = eng->drain();
         for (std::uint64_t id : ids)
-            outputs.push_back(session.result(id)->clone());
+            outputs.push_back(eng->result(id)->clone());
         return rep;
     };
 
@@ -853,7 +859,7 @@ TEST(ServingSession, BatchedMultiStreamServesIdenticalResultsFaster)
 
 // ----------------------------------------------------------- percentiles
 
-// percentileSorted (session.hh) is the ONE nearest-rank helper every
+// percentileSorted (engine.hh) is the ONE nearest-rank helper every
 // report path shares — drain cycles, the online loop, and sharded
 // drains all call it — so its exact semantics are pinned here on known
 // vectors rather than through report plumbing.

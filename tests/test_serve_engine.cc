@@ -3,7 +3,7 @@
  * Tests for the multi-tenant serving engine (serve::Engine): config
  * validation at construction, the mixed-variant determinism matrix
  * (two variants through one engine, drain and online paths, 1/2/4
- * threads, bit-identical to dedicated seed-mode sessions), the bounded
+ * threads, bit-identical to dedicated seed-mode engines), the bounded
  * PlanCache's LRU eviction policy (budget bounds resident bytes,
  * recompiles counted separately from misses, hot single-variant
  * workloads never evict, in-flight plans are pinned), and autotuned
@@ -22,7 +22,6 @@
 #include "models/model_sources.hh"
 #include "serve/engine.hh"
 #include "serve/online.hh"
-#include "serve/session.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -73,21 +72,22 @@ configFor(const VariantDef &v)
 }
 
 /** Outputs of @p n requests served through a dedicated single-variant
- *  session, in submission order. */
+ *  engine, in submission order. */
 std::vector<std::vector<float>>
 dedicatedOutputs(const graph::HeteroGraph &g, const VariantDef &v,
                  std::size_t n)
 {
     sim::Runtime rt;
-    serve::ServingSession session(g, hostFeatures(g, v.din, v.featureSeed),
-                                  v.source, configFor(v), rt);
+    serve::Engine eng(g, serve::engineConfigFor(configFor(v)), rt);
+    eng.registerVariant("default", hostFeatures(g, v.din, v.featureSeed),
+                        v.source, configFor(v));
     std::vector<std::uint64_t> ids;
     for (std::size_t i = 0; i < n; ++i)
-        ids.push_back(session.submit());
-    session.drain();
+        ids.push_back(eng.submit(0));
+    eng.drain();
     std::vector<std::vector<float>> outs;
     for (std::uint64_t id : ids) {
-        const Tensor *o = session.result(id);
+        const Tensor *o = eng.result(id);
         EXPECT_NE(o, nullptr);
         outs.emplace_back(o->data(), o->data() + o->numel());
     }
@@ -131,8 +131,10 @@ TEST(ServingConfigValidation, NamesTheOffendingField)
                                  const char *field) {
         try {
             sim::Runtime rt;
-            serve::ServingSession session(g, host, models::kRgcnSource,
-                                          cfg, rt);
+            serve::OnlineConfig ocfg;
+            ocfg.serving = cfg;
+            serve::OnlineServer server(g, host, models::kRgcnSource, ocfg,
+                                       rt);
             FAIL() << "expected std::invalid_argument naming " << field;
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find(field),
@@ -217,7 +219,7 @@ TEST_F(EngineDeterminism, MixedVariantDrainMatrixMatchesDedicated)
     graph::HeteroGraph g = servingGraph();
     const std::size_t per_variant = 6;
 
-    // Oracle: each variant served alone through a dedicated session
+    // Oracle: each variant served alone through a dedicated engine
     // with the seed's sequential scalar kernels.
     util::setSeedKernelMode(true);
     util::setGlobalThreads(1);
@@ -402,12 +404,13 @@ TEST(PlanCacheBudget, HotSingleVariantWorkloadNeverEvicts)
     // A budget that fits the one plan comfortably (8 MiB; the modeled
     // cost of an 8-dim RGCN plan is far below that).
     cfg.planBudgetBytes = 8u << 20;
-    serve::ServingSession session(g, host, models::kRgcnSource, cfg, rt);
+    serve::Engine eng(g, serve::engineConfigFor(cfg), rt);
+    eng.registerVariant("default", host, models::kRgcnSource, cfg);
 
     for (int cycle = 0; cycle < 10; ++cycle) {
-        session.submit();
-        session.submit();
-        const serve::ServingReport rep = session.drain();
+        eng.submit(0);
+        eng.submit(0);
+        const serve::ServingReport rep = eng.drain();
         EXPECT_EQ(rep.cacheEvictions, 0u) << "cycle " << cycle;
         EXPECT_EQ(rep.cacheRecompiles, 0u) << "cycle " << cycle;
         EXPECT_EQ(rep.cacheMisses, 1u) << "cycle " << cycle;
@@ -497,7 +500,7 @@ TEST_F(EngineDeterminism, BudgetBoundsResidentBytesUnderRotation)
     EXPECT_GT(rt.planEvents().recompiles, 0u);
 
     // The rotation drains ran across evictions and recompiles; outputs
-    // must match the dedicated seed-mode session regardless of churn.
+    // must match the dedicated seed-mode engine regardless of churn.
     expectBitIdentical(want_rgat, rgat_outputs, "rgat32 under rotation");
 }
 

@@ -219,18 +219,20 @@ TEST(OnlineServer, ResultsBitIdenticalToClosedLoopDrain)
                                rt_online);
     server.run();
 
-    // A closed-loop session with the same serving seed samples the
+    // A closed-loop engine with the same serving seed samples the
     // identical request stream (ids 1..n in the same order).
     sim::Runtime rt_closed;
-    serve::ServingSession session(g, host, models::kRgcnSource,
-                                  cfg.serving, rt_closed);
+    serve::Engine closed(g, serve::engineConfigFor(cfg.serving),
+                         rt_closed);
+    closed.registerVariant("default", host, models::kRgcnSource,
+                           cfg.serving);
     for (std::size_t i = 0; i < cfg.numRequests; ++i)
-        session.submit();
-    session.drain();
+        closed.submit(0);
+    closed.drain();
 
     for (std::uint64_t id = 1; id <= cfg.numRequests; ++id) {
-        const Tensor *online_out = server.session().result(id);
-        const Tensor *closed_out = session.result(id);
+        const Tensor *online_out = server.engine().result(id);
+        const Tensor *closed_out = closed.result(id);
         ASSERT_NE(online_out, nullptr) << "online result " << id;
         ASSERT_NE(closed_out, nullptr) << "closed result " << id;
         ASSERT_EQ(online_out->shape(), closed_out->shape());

@@ -3,7 +3,7 @@
  * Tests for multi-device sharded serving (serve/sharded.hh,
  * sim/device_group.hh): the golden determinism property — a 4-shard
  * ShardedSession's per-request outputs are bit-identical to the
- * single-device ServingSession's for the same seed and request stream,
+ * single-device Engine's for the same seed and request stream,
  * across all three model sources — plus interconnect accounting,
  * multi-device speedup, and the sharded online-serving path.
  */
@@ -14,8 +14,8 @@
 
 #include "graph/datasets.hh"
 #include "models/model_sources.hh"
+#include "serve/engine.hh"
 #include "serve/online.hh"
-#include "serve/session.hh"
 #include "serve/sharded.hh"
 #include "sim/device_group.hh"
 
@@ -83,10 +83,11 @@ TEST_P(ShardedGolden, FourShardOutputBitIdenticalToSingleDevice)
 
     // Single-device reference.
     sim::Runtime rt;
-    serve::ServingSession single(g, feats, source, cfg, rt);
+    serve::Engine single(g, serve::engineConfigFor(cfg), rt);
+    single.registerVariant("default", feats, source, cfg);
     std::vector<std::uint64_t> single_ids;
     for (std::size_t i = 0; i < requests; ++i)
-        single_ids.push_back(single.submit());
+        single_ids.push_back(single.submit(0));
     const serve::ServingReport single_rep = single.drain();
     ASSERT_EQ(single_rep.requests, requests);
 
@@ -374,7 +375,7 @@ TEST(OnlineSharded, ServesAllArrivalsAndReportsInterconnect)
     sim::DeviceGroup group(4);
     serve::OnlineServer server(g, feats, models::kRgatSource, cfg,
                                group);
-    EXPECT_THROW(server.session(), std::runtime_error);
+    EXPECT_THROW(server.engine(), std::runtime_error);
     const serve::OnlineReport rep = server.run();
 
     EXPECT_EQ(rep.requests, 24u);
@@ -413,7 +414,7 @@ TEST(OnlineSharded, ResultsBitIdenticalToSingleDeviceOnlineRun)
     // Same session seed => same sampled request stream with the same
     // ids; batching and placement differ, outputs must not.
     for (std::uint64_t id = 1; id <= 16; ++id) {
-        const Tensor *a = single.session().result(id);
+        const Tensor *a = single.engine().result(id);
         const Tensor *b = shard.sharded().result(id);
         ASSERT_NE(a, nullptr) << "id " << id;
         ASSERT_NE(b, nullptr) << "id " << id;

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Capture every serving artifact of the open-loop / fault / sharded
-# serving benches, for byte-identity checks across refactors.
+# Capture every serving artifact of the closed-loop, open-loop, fault
+# and sharded serving benches, for byte-identity checks across
+# refactors.
 #
 # Usage: tools/serving_golden.sh <build-dir> <out-dir>
 #
-# Runs bench_serving_{online,overload,multi,faults,chaos,sharded} from
+# Runs bench_serving (the closed-loop submit-then-drain table) and
+# bench_serving_{online,overload,multi,faults,chaos,sharded} from
 # <build-dir>, each in a fresh scratch working directory, and keeps its
 # stdout (<out-dir>/<bench>/stdout.txt) together with every BENCH_* and
 # TRACE_* file it writes (<out-dir>/<bench>/). About 30 s in Release.
@@ -31,13 +33,13 @@ build=$(cd "$1" && pwd)
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
 
-for bench in online overload multi faults chaos sharded; do
-    exe="$build/bench_serving_$bench"
+for bench in bench_serving bench_serving_{online,overload,multi,faults,chaos,sharded}; do
+    exe="$build/$bench"
     if [ ! -x "$exe" ]; then
         echo "serving_golden: missing $exe" >&2
         exit 1
     fi
-    dest="$out/bench_serving_$bench"
+    dest="$out/$bench"
     work="$out/.work_$bench"
     rm -rf "$dest" "$work"
     mkdir -p "$dest" "$work"

@@ -137,14 +137,15 @@ main()
 
     // The acceptance comparison, stated explicitly: batch 8 x 4
     // streams vs unbatched single-stream, RGAT (both measured above).
+    // A regression fails the run.
+    const bool faster =
+        rgat_batched.msPerRequest < rgat_unbatched.msPerRequest;
     std::printf("RGAT batch=8 streams=4: %.4f ms/req vs unbatched "
                 "single-stream %.4f ms/req -> %.2fx %s\n",
                 rgat_batched.msPerRequest / scale,
                 rgat_unbatched.msPerRequest / scale,
                 rgat_unbatched.msPerRequest / rgat_batched.msPerRequest,
-                rgat_batched.msPerRequest < rgat_unbatched.msPerRequest
-                    ? "(strictly faster)"
-                    : "(REGRESSION)");
+                faster ? "(strictly faster)" : "(REGRESSION)");
     log.write();
-    return 0;
+    return faster ? 0 : 1;
 }

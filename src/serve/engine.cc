@@ -68,6 +68,56 @@ guardedRun(const std::function<void(std::vector<Tensor> &)> &exec,
     return g;
 }
 
+std::vector<std::vector<const Request *>>
+fifoBatches(const std::vector<Request> &q, std::size_t max_batch)
+{
+    const std::size_t cap = std::max<std::size_t>(1, max_batch);
+    std::vector<std::vector<const Request *>> batches;
+    for (std::size_t lo = 0; lo < q.size(); lo += cap) {
+        batches.emplace_back();
+        for (std::size_t i = lo; i < std::min(q.size(), lo + cap); ++i)
+            batches.back().push_back(&q[i]);
+    }
+    return batches;
+}
+
+Cycle
+runCycle(sim::Runtime &rt, int num_streams, std::size_t num_batches,
+         const std::function<void(std::size_t, std::vector<Tensor> &)> &exec,
+         const CycleGuard *guard)
+{
+    StreamScheduler sched(rt, num_streams);
+    Cycle cycle;
+    cycle.batches.resize(num_batches);
+    for (std::size_t b = 0; b < num_batches; ++b) {
+        CycleBatch &cb = cycle.batches[b];
+        const auto run = [&](std::vector<Tensor> &dst) {
+            cb.runs.push_back(sched.run([&]() { exec(b, dst); }));
+        };
+        if (!guard)
+            run(cb.outs);
+        else
+            cb.guarded = guardedRun(
+                run, cb.outs, guard->device, guard->nowSec, guard->fi,
+                guard->duplicate(b), [&](std::uint64_t ord) {
+                    if (obs::enabled())
+                        obs::tracer().instant(
+                            "fault.detect", "serve", guard->nowSec,
+                            guard->device, 0,
+                            "\"batch\":" + std::to_string(ord));
+                });
+    }
+    const std::vector<double> completions = sched.completionTimes();
+    std::size_t i = 0;
+    for (CycleBatch &cb : cycle.batches)
+        for (ScheduledBatch &sb : cb.runs) {
+            sb.completionSec = completions[i++];
+            cb.completionSec = std::max(cb.completionSec, sb.completionSec);
+        }
+    cycle.makespanSec = sched.makespanSec();
+    return cycle;
+}
+
 double
 percentileSorted(const std::vector<double> &sorted, double q)
 {
@@ -591,96 +641,51 @@ Engine::drain()
         if (!variants_[i].queue.empty())
             plans[i] = planFor(static_cast<int>(i));
 
-    StreamScheduler sched(rt_, cfg_.numStreams);
     auto scope = rt_.memoryScope();
 
     // Per-variant FIFO coalescing into micro-batches of at most that
     // variant's maxBatch — never mixing variants — then all batches
     // interleave over the shared streams in global submission order
     // (request ids are engine-wide and monotone).
-    struct PlannedBatch
-    {
-        std::size_t variant = 0;
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        std::uint64_t firstId = 0;
-    };
-    std::vector<PlannedBatch> batches;
-    for (std::size_t i = 0; i < variants_.size(); ++i) {
-        const Variant &v = variants_[i];
-        const std::size_t cap = std::max<std::size_t>(1, v.cfg.maxBatch);
-        for (std::size_t lo = 0; lo < v.queue.size(); lo += cap) {
-            const std::size_t hi = std::min(v.queue.size(), lo + cap);
-            batches.push_back({i, lo, hi, v.queue[lo].id});
-        }
-    }
+    std::vector<std::vector<const Request *>> batches;
+    for (const Variant &v : variants_)
+        for (auto &b : fifoBatches(v.queue, v.cfg.maxBatch))
+            batches.push_back(std::move(b));
     std::sort(batches.begin(), batches.end(),
-              [](const PlannedBatch &a, const PlannedBatch &b) {
-                  return a.firstId < b.firstId;
+              [](const auto &a, const auto &b) {
+                  return a.front()->id < b.front()->id;
               });
 
-    // Each logical batch is one guardedRun: a primary scheduler run,
-    // optionally an ASPIS-style redundant run (deterministically
-    // sampled per variant) and, on a detected mismatch, a replay run
-    // whose output is the one served.
-    sim::FaultInjector *fi = rt_.faultInjector();
-    struct RunRefs
-    {
-        int primary = -1;
-        int dup = -1;
-        int replay = -1;
-    };
-    std::vector<RunRefs> runs(batches.size());
-    int run_idx = 0;
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        const PlannedBatch &pb = batches[b];
-        Variant &v = variants_[pb.variant];
-        std::vector<const Request *> reqs;
-        reqs.reserve(pb.hi - pb.lo);
-        for (std::size_t i = pb.lo; i < pb.hi; ++i)
-            reqs.push_back(&v.queue[i]);
-
-        std::vector<Tensor> outs;
-        const auto run_exec = [&](std::vector<Tensor> &dst) {
-            sched.run([&]() {
-                MicroBatch batch = coalesce(reqs, rt_);
-                dst = executeBatch(*plans[pb.variant], batch,
-                                   v.weights, rt_, v.ctx, v.grads,
-                                   v.cfg.useArena);
-            });
-        };
-        runs[b].primary = run_idx++;
-        const GuardedRun g = guardedRun(
-            run_exec, outs, rt_.deviceId(), hostClockSec_, fi,
-            sampleDuplicate(v.cfg.duplicationFraction * dupScale_,
-                            v.dupAccum),
-            [&](std::uint64_t ord) {
-                if (obs::enabled())
-                    obs::tracer().instant(
-                        "fault.detect", "serve", hostClockSec_,
-                        rt_.deviceId(), 0,
-                        "\"batch\":" + std::to_string(ord));
-            });
-        if (g.duplicated)
-            runs[b].dup = run_idx++;
-        if (g.replayed)
-            runs[b].replay = run_idx++;
-        // Detach results from the device memory scope so they
-        // outlive the drain cycle.
-        tensor::TrackerScope untracked(nullptr);
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            results_.insert_or_assign(reqs[i]->id, outs[i].clone());
-    }
+    // Each logical batch is one guardedRun of the shared cycle body: a
+    // primary scheduler run, optionally an ASPIS-style redundant run
+    // (deterministically sampled per variant) and, on a detected
+    // mismatch, a replay run whose output is the one served.
+    const CycleGuard guard{rt_.deviceId(), hostClockSec_, rt_.faultInjector(),
+                     [&](std::size_t b) {
+                         Variant &v = variants_[batches[b][0]->variant];
+                         return sampleDuplicate(
+                             v.cfg.duplicationFraction * dupScale_,
+                             v.dupAccum);
+                     }};
+    const Cycle cycle = runCycle(
+        rt_, cfg_.numStreams, batches.size(),
+        [&](std::size_t b, std::vector<Tensor> &dst) {
+            Variant &v = variants_[batches[b][0]->variant];
+            MicroBatch batch = coalesce(batches[b], rt_);
+            dst = executeBatch(*plans[batches[b][0]->variant], batch,
+                               v.weights, rt_, v.ctx, v.grads,
+                               v.cfg.useArena);
+        },
+        &guard);
 
     // Timeline: the queued transfers not yet charged to an earlier
     // cycle serialize before the drain's launches begin; per-batch
     // completions come from the scheduler. On the absolute host
-    // clock, batch b completes at hostClockSec_ + completions[b] and
-    // request latency is simply completion minus its absolute
-    // submission point.
-    const std::vector<double> completions = sched.completionTimes();
+    // clock, batch b completes at hostClockSec_ + its completion
+    // offset and request latency is simply completion minus its
+    // absolute submission point.
     const double pending_host_sec = hostClockSec_ - chargedHostSec_;
-    const double makespan_sec = pending_host_sec + sched.makespanSec();
+    const double makespan_sec = pending_host_sec + cycle.makespanSec;
 
     std::vector<double> latencies;
     std::vector<double> queue_delays;
@@ -690,25 +695,20 @@ Engine::drain()
     bool any_deadline = false;
     std::size_t met = 0;
     for (std::size_t b = 0; b < batches.size(); ++b) {
-        const PlannedBatch &pb = batches[b];
-        const Variant &v = variants_[pb.variant];
+        const std::vector<const Request *> &reqs = batches[b];
+        const Variant &v = variants_[reqs[0]->variant];
+        const CycleBatch &cb = cycle.batches[b];
+        {
+            // Detach results from the device memory scope so they
+            // outlive the drain cycle.
+            tensor::TrackerScope untracked(nullptr);
+            for (std::size_t i = 0; i < reqs.size(); ++i)
+                results_.insert_or_assign(reqs[i]->id, cb.outs[i].clone());
+        }
         // A request completes when its batch's last run (primary, or
         // the redundant/replay runs that guarded it) completes.
-        double completion =
-            hostClockSec_ +
-            completions[static_cast<std::size_t>(runs[b].primary)];
-        if (runs[b].dup >= 0)
-            completion = std::max(
-                completion,
-                hostClockSec_ + completions[static_cast<std::size_t>(
-                                    runs[b].dup)]);
-        if (runs[b].replay >= 0)
-            completion = std::max(
-                completion,
-                hostClockSec_ + completions[static_cast<std::size_t>(
-                                    runs[b].replay)]);
-        const ScheduledBatch &sb =
-            sched.batches()[static_cast<std::size_t>(runs[b].primary)];
+        const double completion = hostClockSec_ + cb.completionSec;
+        const ScheduledBatch &sb = cb.primary();
         const double service = sb.overheadSec + sb.execSec;
         if (v.cfg.deadlineMs > 0.0)
             any_deadline = true;
@@ -717,21 +717,20 @@ Engine::drain()
             obs::tracer().complete(
                 "batch/" + v.name, "serve", exec_start, service,
                 rt_.deviceId(), sb.stream,
-                "\"requests\":" + std::to_string(pb.hi - pb.lo));
-        for (std::size_t i = pb.lo; i < pb.hi; ++i) {
-            const double lat = completion - v.queue[i].submitSec;
+                "\"requests\":" + std::to_string(reqs.size()));
+        for (const Request *r : reqs) {
+            const double lat = completion - r->submitSec;
             latencies.push_back(lat);
             queue_delays.push_back(std::max(0.0, lat - service));
-            by_variant[pb.variant].push_back(lat);
+            by_variant[r->variant].push_back(lat);
             if (meetsDeadline(lat, v.cfg.deadlineMs))
                 ++met;
             if (flight_) {
-                const std::uint64_t id = v.queue[i].id;
+                const std::uint64_t id = r->id;
                 flight_->event(id, "batch-join", exec_start,
                                rt_.deviceId(),
                                "batch=" + std::to_string(b) +
-                                   " size=" +
-                                   std::to_string(pb.hi - pb.lo));
+                                   " size=" + std::to_string(reqs.size()));
                 flight_->event(id, "exec-start", exec_start,
                                rt_.deviceId(),
                                "stream=" + std::to_string(sb.stream));

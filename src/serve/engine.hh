@@ -339,8 +339,8 @@ double percentileSorted(const std::vector<double> &sorted, double q);
 /**
  * Fill @p report's latency fields (mean/p50/p95/p99/max, mean queue
  * delay, SLO attainment against @p deadline_ms) from per-request
- * samples in seconds. The one place this arithmetic lives: the
- * single-device, sharded and engine drain paths all report through it.
+ * samples in seconds. The one place this arithmetic lives: both
+ * closed-loop drains and the online loop report through it.
  */
 void fillLatencyStats(ServingReport &report,
                       const std::vector<double> &latencies_sec,
@@ -416,6 +416,55 @@ GuardedRun guardedRun(
     std::vector<tensor::Tensor> &outs, int device, double now_sec,
     sim::FaultInjector *fi, bool duplicate,
     const std::function<void(std::uint64_t)> &on_detect = {});
+
+/** @p q's requests in FIFO micro-batches of at most @p max_batch. */
+std::vector<std::vector<const Request *>>
+fifoBatches(const std::vector<Request> &q, std::size_t max_batch);
+
+/** How runCycle() guards each batch: guardedRun's device, clock and
+ *  injector, plus the dual-issue decision asked once per batch b. */
+struct CycleGuard
+{
+    int device = 0;
+    double nowSec = 0.0;
+    sim::FaultInjector *fi = nullptr;
+    std::function<bool(std::size_t)> duplicate;
+};
+
+/** One batch of a runCycle(). */
+struct CycleBatch
+{
+    std::vector<tensor::Tensor> outs;
+    /** Scheduler runs in issue order (the primary, then guardedRun's
+     *  duplicate and replay), completionSec stretched to the cycle. */
+    std::vector<ScheduledBatch> runs;
+    /** Offset from the cycle start at which the last run completes. */
+    double completionSec = 0.0;
+    GuardedRun guarded;
+
+    const ScheduledBatch &primary() const { return runs.front(); }
+};
+
+struct Cycle
+{
+    std::vector<CycleBatch> batches;
+    double makespanSec = 0.0;
+};
+
+/**
+ * The one closed-loop cycle body of Engine::drain and of every wave of
+ * ShardedSession::drain: run @p num_batches batches in order on a fresh
+ * @p num_streams StreamScheduler over @p rt, batch b through
+ * @p exec(b, outs). With a @p guard each batch runs under guardedRun (a
+ * detection also traces a fault.detect instant); without one each runs
+ * once, as device-failure replays do, leaving the injector's primary
+ * ordinals alone.
+ */
+Cycle runCycle(
+    sim::Runtime &rt, int num_streams, std::size_t num_batches,
+    const std::function<void(std::size_t, std::vector<tensor::Tensor> &)>
+        &exec,
+    const CycleGuard *guard);
 
 /** Modeled cost of one micro-batch served by serveOldest(). */
 struct BatchCost
@@ -556,8 +605,8 @@ class Engine
     /**
      * Serve every queued request of every variant: per-variant FIFO
      * micro-batches (never mixing variants), interleaved over the
-     * shared streams in global submission order. Returns the cycle's
-     * metrics with a per-variant breakdown.
+     * shared streams in global submission order as one runCycle().
+     * Returns the cycle's metrics with a per-variant breakdown.
      */
     ServingReport drain();
 

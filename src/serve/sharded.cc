@@ -417,23 +417,13 @@ ShardedSession::drain()
     // structure transfers serialize on its own PCIe lanes (devices
     // overlap), then the device pulls its halo over the interconnect
     // and computes, and every batch's outputs gather onto the
-    // all-gather root (device 0 unless it is quarantined).
+    // all-gather root (the lowest alive device).
     const double base = group_.nowSec();
     obs::Span drain_span("sharded.drain", "serve", base, 0, 0);
 
-    const std::size_t cap =
-        std::max<std::size_t>(1, cfg_.serving.maxBatch);
     const double dout_bytes =
         static_cast<double>(cfg_.serving.dout) * sizeof(float);
     const double kInf = std::numeric_limits<double>::infinity();
-
-    const auto lowest_alive = [&]() {
-        for (int d = 0; d < group_.size(); ++d)
-            if (!dead_[static_cast<std::size_t>(d)])
-                return d;
-        return 0;
-    };
-    const int root = lowest_alive();
 
     std::vector<double> latencies;
     std::vector<double> queue_delays;
@@ -444,400 +434,260 @@ ShardedSession::drain()
     double gather_bytes = 0.0;
     double primary_exec_sec = 0.0;
     double redundant_exec_sec = 0.0;
-
-    // A batch whose modeled compute finishes after its device's
-    // failure instant is lost with the device; copies of its requests
-    // replay on survivors in wave 2.
-    struct LostBatch
-    {
-        std::vector<Request> reqs;
-        int from = 0;
-        double tFail = 0.0;
-    };
-    std::vector<LostBatch> lost;
+    // Latest failure fired in this drain; replay waves start after it.
+    double t_fail_max = base;
     std::vector<double> dev_end(
         static_cast<std::size_t>(group_.size()), base);
 
-    // Wave 1: every alive device serves its own queue.
-    for (int d = 0; d < group_.size(); ++d) {
-        if (dead_[static_cast<std::size_t>(d)])
-            continue;
-        auto &q = queues_[static_cast<std::size_t>(d)];
-        if (q.empty())
-            continue;
-        sim::Runtime &rt = group_.device(d);
-        StreamScheduler sched(rt, cfg_.serving.numStreams);
-        auto scope = rt.memoryScope();
+    // A request whose batch's modeled compute finishes after its
+    // device's failure instant is lost with the device.
+    struct Lost
+    {
+        Request req;
+        int from = 0;
+        double tFail = 0.0;
+    };
 
-        const double host_end =
-            base + pendingHostSec_[static_cast<std::size_t>(d)];
-        cycle_end = std::max(cycle_end, host_end);
-        const double t_fail = fi ? fi->failureTimeSec(d) : kInf;
+    // Wave 0 serves every device's queue. Each later wave replays the
+    // requests the wave before it lost, re-routed onto the survivors;
+    // every wave applies the same lost-batch rule, so the loop ends
+    // once a wave loses nothing.
+    std::vector<std::vector<Request>> replay_q;
+    for (bool replay = false;; replay = true) {
+        const std::vector<std::vector<Request>> &wave =
+            replay ? replay_q : queues_;
+        int root = 0;
+        while (dead_[static_cast<std::size_t>(root)])
+            ++root;
+        std::vector<Lost> lost;
 
-        // Halo exchange for everything this device is about to serve:
-        // surviving owners charge the owner -> home links per batch,
-        // rows of failed owners re-gather from the host store over
-        // this device's PCIe lanes (serialized after its structure
-        // transfers).
-        double comm_done = host_end;
-        double device_halo = 0.0;
-        double fallback_sec = 0.0;
-        std::vector<std::vector<const Request *>> batches;
-        for (std::size_t lo = 0; lo < q.size(); lo += cap) {
-            const std::size_t hi = std::min(q.size(), lo + cap);
-            std::vector<const Request *> reqs;
-            reqs.reserve(hi - lo);
-            for (std::size_t i = lo; i < hi; ++i)
-                reqs.push_back(&q[i]);
-            double fb = 0.0;
-            for (const auto &[owner, bytes] :
-                 batchHaloBytes(reqs, d, &fb)) {
-                comm_done = std::max(
-                    comm_done, group_.interconnect().transfer(
-                                   owner, d, bytes, host_end));
-                halo_bytes += bytes;
-                device_halo += bytes;
-            }
-            if (fb > 0.0) {
-                const double t = graph::hostTransferSec(fb, rt.spec());
-                rt.hostOverhead(t);
-                fallback_sec += t;
-            }
-            batches.push_back(std::move(reqs));
-        }
-        comm_done = std::max(comm_done, host_end + fallback_sec);
-        if (obs::enabled() && comm_done > host_end)
-            obs::tracer().complete(
-                "halo", "comm", host_end, comm_done - host_end, d, 0,
-                "\"bytes\":" + obs::jsonNum(device_halo));
-
-        // Compute: this device's own driver thread and streams, on the
-        // shared overlap rule, starting once the halo is resident. Each
-        // batch is one guardedRun (primary, sampled duplicate, replay
-        // on a detected mismatch); the scheduler run indices follow.
-        struct Runs
-        {
-            int primary = -1;
-            int dup = -1;
-            int replay = -1;
-        };
-        std::vector<Runs> runs(batches.size());
-        std::vector<std::vector<Tensor>> outs(batches.size());
-        int run_idx = 0;
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const auto exec = [&](std::vector<Tensor> &dst) {
-                sched.run([&]() { dst = runBatch(*plan, batches[b], d); });
-            };
-            runs[b].primary = run_idx++;
-            const GuardedRun g = guardedRun(
-                exec, outs[b], d, host_end, fi,
-                sampleDuplicate(cfg_.serving.duplicationFraction *
-                                    dupScale_,
-                                dupAccum_),
-                [&](std::uint64_t ord) {
-                    if (obs::enabled())
-                        obs::tracer().instant(
-                            "fault.detect", "serve", host_end, d, 0,
-                            "\"batch\":" + std::to_string(ord));
-                });
-            if (g.duplicated) {
-                runs[b].dup = run_idx++;
-                ++report.duplicatesIssued;
-            }
-            if (g.replayed) {
-                runs[b].replay = run_idx++;
-                ++report.transientsDetected;
-                report.requestsReplayed += batches[b].size();
-                if (flight_)
-                    for (const Request *r : batches[b])
-                        flight_->event(r->id, "replay", host_end, d,
-                                       "why=transient");
-            }
-        }
-
-        const std::vector<double> completions = sched.completionTimes();
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            primary_exec_sec +=
-                sched.batches()[static_cast<std::size_t>(
-                                    runs[b].primary)]
-                    .execSec;
-            if (runs[b].dup >= 0)
-                redundant_exec_sec +=
-                    sched.batches()[static_cast<std::size_t>(
-                                        runs[b].dup)]
-                        .execSec;
-            if (runs[b].replay >= 0)
-                redundant_exec_sec +=
-                    sched.batches()[static_cast<std::size_t>(
-                                        runs[b].replay)]
-                        .execSec;
-        }
-
-        double device_end = host_end;
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            double compute_done =
-                comm_done + completions[static_cast<std::size_t>(
-                                runs[b].primary)];
-            if (runs[b].dup >= 0)
-                compute_done = std::max(
-                    compute_done,
-                    comm_done + completions[static_cast<std::size_t>(
-                                    runs[b].dup)]);
-            if (runs[b].replay >= 0)
-                compute_done = std::max(
-                    compute_done,
-                    comm_done + completions[static_cast<std::size_t>(
-                                    runs[b].replay)]);
-            if (compute_done > t_fail) {
-                // Lost with the device: the outputs never left it.
-                LostBatch lb;
-                lb.from = d;
-                lb.tFail = t_fail;
-                lb.reqs.reserve(batches[b].size());
-                for (const Request *r : batches[b]) {
-                    lb.reqs.push_back(*r);
-                    if (flight_)
-                        flight_->event(r->id, "lost", t_fail, d,
-                                       "batch=" + std::to_string(b));
-                }
-                lost.push_back(std::move(lb));
-                continue;
-            }
-            {
-                tensor::TrackerScope untracked(nullptr);
-                for (std::size_t i = 0; i < batches[b].size(); ++i)
-                    results_.insert_or_assign(batches[b][i]->id,
-                                              outs[b][i].clone());
-            }
-            // All-gather this batch's outputs onto the root.
-            double out_bytes = 0.0;
-            for (const Request *r : batches[b])
-                out_bytes += static_cast<double>(
-                                 r->mb.subgraph.numNodes()) *
-                             dout_bytes;
-            double final_done = compute_done;
-            if (d != root) {
-                final_done = group_.interconnect().transfer(
-                    d, root, out_bytes, compute_done);
-                gather_bytes += out_bytes;
-            }
-            cycle_end = std::max(cycle_end, final_done);
-            device_end = std::max(device_end, final_done);
-
-            const ScheduledBatch &sb =
-                sched.batches()[static_cast<std::size_t>(
-                    runs[b].primary)];
-            const double service = sb.overheadSec + sb.execSec;
-            const double exec_start =
-                comm_done + completions[static_cast<std::size_t>(
-                                runs[b].primary)] -
-                sb.execSec;
-            if (obs::enabled()) {
-                obs::tracer().complete(
-                    "batch", "serve", exec_start, sb.execSec, d,
-                    sb.stream,
-                    "\"requests\":" +
-                        std::to_string(batches[b].size()));
-                if (d != root)
-                    obs::tracer().complete(
-                        "gather", "comm", compute_done,
-                        final_done - compute_done, d, sb.stream,
-                        "\"bytes\":" + obs::jsonNum(out_bytes));
-            }
-            for (std::size_t i = 0; i < batches[b].size(); ++i) {
-                const Request *r = batches[b][i];
-                const double lat =
-                    final_done - (base + r->submitSec);
-                latencies.push_back(lat);
-                queue_delays.push_back(std::max(0.0, lat - service));
-                if (flight_) {
-                    const std::uint64_t id = r->id;
-                    flight_->event(id, "batch-join", host_end, d,
-                                   "batch=" + std::to_string(b) +
-                                       " size=" +
-                                       std::to_string(
-                                           batches[b].size()));
-                    if (comm_done > host_end)
-                        flight_->event(
-                            id, "halo", comm_done, d,
-                            "bytes=" + obs::jsonNum(device_halo));
-                    flight_->event(id, "exec-start", exec_start, d,
-                                   "stream=" +
-                                       std::to_string(sb.stream));
-                    if (d != root)
-                        flight_->event(
-                            id, "all-gather", final_done, d,
-                            "bytes=" + obs::jsonNum(out_bytes));
-                    flight_->event(
-                        id, "completion", final_done, d,
-                        "latency_ms=" + obs::jsonNum(lat * 1e3));
-                }
-            }
-            report.perDeviceRequests[static_cast<std::size_t>(d)] +=
-                batches[b].size();
-            report.batches += 1;
-            report.requests += batches[b].size();
-        }
-        dev_end[static_cast<std::size_t>(d)] = device_end;
-    }
-
-    // Fire failures that struck inside this cycle's window: the device
-    // is quarantined for the cycles to come (phase 0 above handles
-    // failures that were already due at entry).
-    double t_fail_max = base;
-    if (fi)
         for (int d = 0; d < group_.size(); ++d) {
-            if (dead_[static_cast<std::size_t>(d)])
+            const auto &q = wave[static_cast<std::size_t>(d)];
+            if (dead_[static_cast<std::size_t>(d)] || q.empty())
                 continue;
-            const double tf = fi->failureTimeSec(d);
-            if (tf <= cycle_end) {
-                dead_[static_cast<std::size_t>(d)] = 1;
-                fi->markFailed(d, tf);
-                t_fail_max = std::max(t_fail_max, tf);
-            }
-        }
-    report.devicesFailed = group_.size() - aliveCount();
-
-    // Wave 2: replay batches the failure lost, on the survivors.
-    if (!lost.empty()) {
-        if (aliveCount() == 0)
-            throw std::runtime_error(
-                "ShardedSession::drain: device failure with no "
-                "survivors to replay on");
-        const int root2 = lowest_alive();
-
-        // Route each lost request to a survivor by homeShard's
-        // affinity x headroom scorer, over the replay load alone.
-        std::vector<std::vector<Request>> replay_q(
-            static_cast<std::size_t>(group_.size()));
-        std::size_t n_lost = 0;
-        for (const LostBatch &lb : lost)
-            n_lost += lb.reqs.size();
-        const std::int64_t alive = aliveCount();
-        const std::int64_t rcap =
-            (static_cast<std::int64_t>(n_lost) + alive - 1) / alive + 1;
-        for (LostBatch &lb : lost)
-            for (Request &r : lb.reqs) {
-                const int best = scoreShard(r.mb, replay_q, rcap, false);
-                if (fi)
-                    fi->noteReroute(r.id, lb.from, best, lb.tFail);
-                ++report.requestsRerouted;
-                if (flight_)
-                    flight_->event(r.id, "reroute", lb.tFail, best,
-                                   "from=" + std::to_string(lb.from));
-                replay_q[static_cast<std::size_t>(best)].push_back(
-                    std::move(r));
-            }
-        report.requestsReplayed += n_lost;
-
-        for (int s = 0; s < group_.size(); ++s) {
-            auto &rq = replay_q[static_cast<std::size_t>(s)];
-            if (rq.empty())
-                continue;
-            sim::Runtime &rt = group_.device(s);
-            StreamScheduler sched(rt, cfg_.serving.numStreams);
+            sim::Runtime &rt = group_.device(d);
             auto scope = rt.memoryScope();
 
-            // The survivor starts once the failure has happened and
-            // its own wave-1 work is done; the lost requests' subgraph
-            // structures re-send serialized on its PCIe lanes, and
-            // the dead shard's feature rows re-gather from the host
-            // store (host-fallback halo).
-            double host_end = std::max(
-                t_fail_max, dev_end[static_cast<std::size_t>(s)]);
-            for (const Request &r : rq) {
-                const double t = graph::hostTransferSec(
-                    static_cast<double>(
-                        r.mb.subgraph.structureBytes()),
-                    rt.spec());
-                rt.hostOverhead(t);
-                host_end += t;
-            }
+            // Wave 0 starts once the device's submit transfers are done.
+            // A replay starts once the failure has happened and the
+            // survivor's own earlier work is done; the lost requests'
+            // subgraph structures re-send serialized on its PCIe lanes.
+            double host_end =
+                replay ? std::max(t_fail_max,
+                                  dev_end[static_cast<std::size_t>(d)])
+                       : base + pendingHostSec_[static_cast<std::size_t>(d)];
+            if (replay)
+                for (const Request &r : q) {
+                    const double t = graph::hostTransferSec(
+                        static_cast<double>(r.mb.subgraph.structureBytes()),
+                        rt.spec());
+                    rt.hostOverhead(t);
+                    host_end += t;
+                }
             cycle_end = std::max(cycle_end, host_end);
+            const double t_fail = fi ? fi->failureTimeSec(d) : kInf;
 
+            // Halo exchange for everything this device is about to
+            // serve: surviving owners charge the owner -> home links
+            // per batch, rows of failed owners re-gather from the host
+            // store over this device's PCIe lanes (serialized after its
+            // structure transfers).
+            const auto batches = fifoBatches(q, cfg_.serving.maxBatch);
             double comm_done = host_end;
+            double device_halo = 0.0;
             double fallback_sec = 0.0;
-            std::vector<std::vector<const Request *>> batches;
-            for (std::size_t lo = 0; lo < rq.size(); lo += cap) {
-                const std::size_t hi = std::min(rq.size(), lo + cap);
-                std::vector<const Request *> reqs;
-                reqs.reserve(hi - lo);
-                for (std::size_t i = lo; i < hi; ++i)
-                    reqs.push_back(&rq[i]);
+            for (const auto &reqs : batches) {
                 double fb = 0.0;
                 for (const auto &[owner, bytes] :
-                     batchHaloBytes(reqs, s, &fb)) {
+                     batchHaloBytes(reqs, d, &fb)) {
                     comm_done = std::max(
                         comm_done, group_.interconnect().transfer(
-                                       owner, s, bytes, host_end));
+                                       owner, d, bytes, host_end));
                     halo_bytes += bytes;
+                    device_halo += bytes;
                 }
                 if (fb > 0.0) {
-                    const double t =
-                        graph::hostTransferSec(fb, rt.spec());
+                    const double t = graph::hostTransferSec(fb, rt.spec());
                     rt.hostOverhead(t);
                     fallback_sec += t;
                 }
-                batches.push_back(std::move(reqs));
             }
             comm_done = std::max(comm_done, host_end + fallback_sec);
+            if (!replay && obs::enabled() && comm_done > host_end)
+                obs::tracer().complete(
+                    "halo", "comm", host_end, comm_done - host_end, d, 0,
+                    "\"bytes\":" + obs::jsonNum(device_halo));
 
-            std::vector<std::vector<Tensor>> outs(batches.size());
-            for (std::size_t b = 0; b < batches.size(); ++b) {
-                sched.run([&, b]() {
-                    outs[b] = runBatch(*plan, batches[b], s);
-                });
-                if (fi)
-                    fi->noteReplay(s, host_end, "device-failure");
-            }
+            // Compute: this device's own driver thread and streams, on
+            // the shared overlap rule, starting once the halo is
+            // resident. Wave-0 batches run guarded (primary, sampled
+            // duplicate, replay on a detected mismatch); device-failure
+            // replays run once, unguarded.
+            const CycleGuard guard{d, host_end, fi, [&](std::size_t) {
+                                       return sampleDuplicate(
+                                           cfg_.serving.duplicationFraction *
+                                               dupScale_,
+                                           dupAccum_);
+                                   }};
+            const Cycle cycle = runCycle(
+                rt, cfg_.serving.numStreams, batches.size(),
+                [&](std::size_t b, std::vector<Tensor> &dst) {
+                    dst = runBatch(*plan, batches[b], d);
+                },
+                replay ? nullptr : &guard);
 
-            const std::vector<double> completions =
-                sched.completionTimes();
+            double device_end = host_end;
             for (std::size_t b = 0; b < batches.size(); ++b) {
-                redundant_exec_sec += sched.batches()[b].execSec;
-                const double compute_done = comm_done + completions[b];
+                const CycleBatch &cb = cycle.batches[b];
+                const ScheduledBatch &sb = cb.primary();
+                if (replay) {
+                    redundant_exec_sec += sb.execSec;
+                    if (fi)
+                        fi->noteReplay(d, host_end, "device-failure");
+                } else {
+                    primary_exec_sec += sb.execSec;
+                    for (std::size_t r = 1; r < cb.runs.size(); ++r)
+                        redundant_exec_sec += cb.runs[r].execSec;
+                    report.duplicatesIssued += cb.guarded.duplicated;
+                }
+                if ((replay || cb.guarded.replayed) && flight_)
+                    for (const Request *r : batches[b])
+                        flight_->event(r->id, "replay", host_end, d,
+                                       replay ? "why=device-failure"
+                                              : "why=transient");
+                if (cb.guarded.replayed) {
+                    ++report.transientsDetected;
+                    report.requestsReplayed += batches[b].size();
+                }
+
+                const double compute_done = comm_done + cb.completionSec;
+                if (compute_done > t_fail) {
+                    // Lost with the device: the outputs never left it.
+                    // The failure instant falls inside the cycle, so the
+                    // device is quarantined before the next wave routes.
+                    cycle_end = std::max(cycle_end, t_fail);
+                    for (const Request *r : batches[b]) {
+                        lost.push_back({*r, d, t_fail});
+                        if (flight_)
+                            flight_->event(r->id, "lost", t_fail, d,
+                                           "batch=" + std::to_string(b));
+                    }
+                    continue;
+                }
                 {
                     tensor::TrackerScope untracked(nullptr);
-                    for (std::size_t i = 0; i < batches[b].size();
-                         ++i)
-                        results_.insert_or_assign(
-                            batches[b][i]->id, outs[b][i].clone());
+                    for (std::size_t i = 0; i < batches[b].size(); ++i)
+                        results_.insert_or_assign(batches[b][i]->id,
+                                                  cb.outs[i].clone());
                 }
+                // All-gather this batch's outputs onto the root.
                 double out_bytes = 0.0;
                 for (const Request *r : batches[b])
                     out_bytes += static_cast<double>(
                                      r->mb.subgraph.numNodes()) *
                                  dout_bytes;
                 double final_done = compute_done;
-                if (s != root2) {
+                if (d != root) {
                     final_done = group_.interconnect().transfer(
-                        s, root2, out_bytes, compute_done);
+                        d, root, out_bytes, compute_done);
                     gather_bytes += out_bytes;
                 }
                 cycle_end = std::max(cycle_end, final_done);
+                device_end = std::max(device_end, final_done);
 
-                const ScheduledBatch &sb = sched.batches()[b];
                 const double service = sb.overheadSec + sb.execSec;
-                for (const Request *r : batches[b]) {
-                    const double lat =
-                        final_done - (base + r->submitSec);
-                    latencies.push_back(lat);
-                    queue_delays.push_back(
-                        std::max(0.0, lat - service));
-                    if (flight_) {
-                        flight_->event(r->id, "replay", host_end, s,
-                                       "why=device-failure");
-                        flight_->event(
-                            r->id, "completion", final_done, s,
-                            "latency_ms=" + obs::jsonNum(lat * 1e3));
-                    }
+                const double exec_start =
+                    comm_done + sb.completionSec - sb.execSec;
+                if (!replay && obs::enabled()) {
+                    obs::tracer().complete(
+                        "batch", "serve", exec_start, sb.execSec, d,
+                        sb.stream,
+                        "\"requests\":" +
+                            std::to_string(batches[b].size()));
+                    if (d != root)
+                        obs::tracer().complete(
+                            "gather", "comm", compute_done,
+                            final_done - compute_done, d, sb.stream,
+                            "\"bytes\":" + obs::jsonNum(out_bytes));
                 }
-                report.perDeviceRequests[static_cast<std::size_t>(
-                    s)] += batches[b].size();
+                for (const Request *r : batches[b]) {
+                    const double lat = final_done - (base + r->submitSec);
+                    latencies.push_back(lat);
+                    queue_delays.push_back(std::max(0.0, lat - service));
+                    if (!flight_)
+                        continue;
+                    if (!replay) {
+                        flight_->event(
+                            r->id, "batch-join", host_end, d,
+                            "batch=" + std::to_string(b) + " size=" +
+                                std::to_string(batches[b].size()));
+                        if (comm_done > host_end)
+                            flight_->event(
+                                r->id, "halo", comm_done, d,
+                                "bytes=" + obs::jsonNum(device_halo));
+                        flight_->event(r->id, "exec-start", exec_start, d,
+                                       "stream=" +
+                                           std::to_string(sb.stream));
+                        if (d != root)
+                            flight_->event(
+                                r->id, "all-gather", final_done, d,
+                                "bytes=" + obs::jsonNum(out_bytes));
+                    }
+                    flight_->event(r->id, "completion", final_done, d,
+                                   "latency_ms=" +
+                                       obs::jsonNum(lat * 1e3));
+                }
+                report.perDeviceRequests[static_cast<std::size_t>(d)] +=
+                    batches[b].size();
                 report.batches += 1;
                 report.requests += batches[b].size();
             }
+            dev_end[static_cast<std::size_t>(d)] = device_end;
         }
+
+        // Fire failures that struck inside the cycle's window so far:
+        // the device is quarantined for the waves and cycles to come
+        // (phase 0 above handles failures already due at entry).
+        if (fi)
+            for (int d = 0; d < group_.size(); ++d) {
+                if (dead_[static_cast<std::size_t>(d)])
+                    continue;
+                const double tf = fi->failureTimeSec(d);
+                if (tf <= cycle_end) {
+                    dead_[static_cast<std::size_t>(d)] = 1;
+                    fi->markFailed(d, tf);
+                    t_fail_max = std::max(t_fail_max, tf);
+                }
+            }
+        report.devicesFailed = group_.size() - aliveCount();
+        if (lost.empty())
+            break;
+        if (aliveCount() == 0)
+            throw std::runtime_error(
+                "ShardedSession::drain: device failure with no "
+                "survivors to replay on");
+
+        // Route each lost request to a survivor by homeShard's
+        // affinity x headroom scorer, over the replay load alone.
+        std::vector<std::vector<Request>> next(
+            static_cast<std::size_t>(group_.size()));
+        const std::int64_t alive = aliveCount();
+        const std::int64_t rcap =
+            (static_cast<std::int64_t>(lost.size()) + alive - 1) / alive +
+            1;
+        for (Lost &l : lost) {
+            const int best = scoreShard(l.req.mb, next, rcap, false);
+            if (fi)
+                fi->noteReroute(l.req.id, l.from, best, l.tFail);
+            ++report.requestsRerouted;
+            if (flight_)
+                flight_->event(l.req.id, "reroute", l.tFail, best,
+                               "from=" + std::to_string(l.from));
+            next[static_cast<std::size_t>(best)].push_back(
+                std::move(l.req));
+        }
+        report.requestsReplayed += lost.size();
+        replay_q = std::move(next);
     }
 
     group_.advanceTo(cycle_end);

@@ -31,9 +31,15 @@
  * so there structure transfers serialize globally (see the sharded
  * backend of OnlineServer's tick loop).
  *
- * Every primary batch, in drain() and serveOldestOn() alike, runs
- * under serve::guardedRun — the one ASPIS duplicate -> checksum ->
- * replay routine the Engine uses too.
+ * drain() serves in waves: wave 0 is the queued requests, each later
+ * wave replays what the wave before it lost to a device failure. One
+ * per-device body serves every wave: halo exchange, the batches as one
+ * serve::runCycle (Engine::drain's cycle routine), the lost-batch rule
+ * (see Fault tolerance), all-gather and records. Waves differ only in
+ * start time, all-gather root, emitted flight/trace events, and
+ * guarding: wave-0 and serveOldestOn() batches run under
+ * serve::guardedRun (ASPIS duplicate -> checksum -> replay), failure
+ * replays run once.
  *
  * Compute parallelizes the same way: each device runs its own
  * StreamScheduler (own driver thread, own streams) on the shared
@@ -229,11 +235,15 @@ class ShardedSession
     /// and at serve time any halo row the dead shard owned is
     /// re-gathered from the host feature store instead of the
     /// interconnect — and drain() replays work the failure lost
-    /// mid-cycle on the survivors. Recovered outputs are bit-identical
-    /// to the fault-free run (re-execution of the same requests with
-    /// the same weights; the batch-invariance property). With every
-    /// device failed, serving throws rather than hanging or dividing
-    /// by zero.
+    /// mid-cycle on the survivors. The lost-batch rule holds in every
+    /// drain wave, replays included: a batch whose modeled compute ends
+    /// after its device's failure instant is lost, and the device is
+    /// quarantined at that instant before the next wave routes, so
+    /// lost work never returns to a dead device. Recovered outputs are
+    /// bit-identical to the fault-free run (re-execution of the same
+    /// requests with the same weights; the batch-invariance property).
+    /// With every device failed, serving throws rather than hanging or
+    /// dividing by zero.
     /// @{
 
     /** One re-routed request of a quarantine. */

@@ -15,11 +15,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <sstream>
 
 #include "graph/datasets.hh"
 #include "graph/partition.hh"
 #include "models/model_sources.hh"
+#include "obs/flight_recorder.hh"
+#include "obs/trace.hh"
 #include "serve/online.hh"
 #include "serve/plan_cache.hh"
 #include "serve/sharded.hh"
@@ -71,7 +75,7 @@ expectBitIdentical(const Tensor &a, const Tensor &b)
 }
 
 /** Serve @p requests on @p devices shards and return output clones by
- *  id, optionally under a fault injector. */
+ *  id, optionally under a fault injector and into a flight recorder. */
 struct DrainRun
 {
     std::map<std::uint64_t, Tensor> outputs;
@@ -80,7 +84,8 @@ struct DrainRun
 
 DrainRun
 runDrain(const char *source, int devices, std::size_t requests,
-         double duplication_fraction, sim::FaultInjector *fi)
+         double duplication_fraction, sim::FaultInjector *fi,
+         obs::FlightRecorder *fr = nullptr)
 {
     const graph::HeteroGraph g = servingGraph();
     const Tensor feats = hostFeatures(g, 8);
@@ -91,6 +96,7 @@ runDrain(const char *source, int devices, std::size_t requests,
     if (fi)
         group.setFaultInjector(fi);
     serve::ShardedSession session(g, feats, source, cfg, group);
+    session.setFlightRecorder(fr);
     std::vector<std::uint64_t> ids;
     for (std::size_t i = 0; i < requests; ++i)
         ids.push_back(session.submit());
@@ -638,6 +644,237 @@ TEST(OnlineFaults, DeviceFailureServesAllRequestsBitIdentical)
         ASSERT_NE(b, nullptr) << "id " << id;
         expectBitIdentical(*a, *b);
     }
+}
+
+// ------------------------------------------- failures late in the drain
+
+/** The modeled time of every flight @p what event on @p device. */
+std::vector<double>
+eventsOn(const obs::FlightRecorder &fr, const char *what, int device)
+{
+    std::vector<double> times;
+    for (std::uint64_t id : fr.requests())
+        for (const obs::FlightEvent &e : *fr.timeline(id))
+            if (e.what == what && e.device == device)
+                times.push_back(e.tSec);
+    return times;
+}
+
+double
+latest(const std::vector<double> &times)
+{
+    return times.empty() ? 0.0
+                         : *std::max_element(times.begin(), times.end());
+}
+
+/** All 24 requests served bitwise-equal to the fault-free oracle. */
+void
+expectAllServedBitIdentical(const DrainRun &oracle, const DrainRun &run)
+{
+    ASSERT_EQ(oracle.outputs.size(), 24u);
+    ASSERT_EQ(run.outputs.size(), 24u);
+    for (const auto &[id, out] : oracle.outputs)
+        expectBitIdentical(out, run.outputs.at(id));
+}
+
+/** The latest-finishing device of a fault-free 4-device RGAT drain and
+ *  a failure time calibrated from its flight timelines: the other
+ *  devices' last completion plus 20% of the gap to its own. Its last
+ *  batch then finishes after the failure, while every other device
+ *  has already finished. */
+struct LateFailure
+{
+    int device = 0;
+    double tFail = 0.0;
+};
+
+LateFailure
+calibrateLateFailure()
+{
+    obs::FlightRecorder fr;
+    runDrain(models::kRgatSource, 4, 24, 0.0, nullptr, &fr);
+    LateFailure late;
+    double others = 0.0;
+    for (int d = 1; d < 4; ++d)
+        if (latest(eventsOn(fr, "completion", d)) >
+            latest(eventsOn(fr, "completion", late.device)))
+            late.device = d;
+    for (int d = 0; d < 4; ++d)
+        if (d != late.device)
+            others = std::max(others, latest(eventsOn(fr, "completion", d)));
+    const double own = latest(eventsOn(fr, "completion", late.device));
+    EXPECT_GT(own, others);
+    late.tFail = others + 0.2 * (own - others);
+    return late;
+}
+
+/** A device that fails after every other device has finished but
+ *  before its own last batch does is still quarantined at its failure
+ *  time: the lost batch replays on a survivor, never on the dead
+ *  device. */
+TEST(FaultLateInDrain, LatestFinisherFailureIsQuarantined)
+{
+    const DrainRun oracle =
+        runDrain(models::kRgatSource, 4, 24, 0.0, nullptr);
+    const LateFailure late = calibrateLateFailure();
+
+    sim::FaultSchedule sched;
+    sched.events.push_back(
+        {sim::FaultKind::DeviceFailure, late.device, late.tFail, 1});
+    sim::FaultInjector fi(sched);
+    obs::FlightRecorder fr;
+    const DrainRun run =
+        runDrain(models::kRgatSource, 4, 24, 0.0, &fi, &fr);
+
+    EXPECT_EQ(run.report.devicesFailed, 1);
+    EXPECT_TRUE(fi.isFailed(late.device));
+    EXPECT_EQ(run.report.requests, 24u);
+    EXPECT_GT(run.report.requestsReplayed, 0u);
+    expectAllServedBitIdentical(oracle, run);
+    EXPECT_LE(latest(eventsOn(fr, "completion", late.device)), late.tFail);
+    EXPECT_TRUE(eventsOn(fr, "reroute", late.device).empty())
+        << "lost requests must not route back to the failed device";
+}
+
+/** The survivor a lost batch replays on fails during that replay: the
+ *  replay obeys the same lost-batch rule, so its batch moves on to a
+ *  third device and both failed devices stay quarantined. */
+TEST(FaultLateInDrain, SurvivorFailingDuringReplayIsQuarantined)
+{
+    const DrainRun oracle =
+        runDrain(models::kRgatSource, 4, 24, 0.0, nullptr);
+    const LateFailure late = calibrateLateFailure();
+    sim::FaultSchedule sched;
+    sched.events.push_back(
+        {sim::FaultKind::DeviceFailure, late.device, late.tFail, 1});
+
+    // Calibrate the second failure from the one-failure run: the first
+    // re-routed request's replay start and its completion.
+    int survivor = -1;
+    double replay_start = 0.0;
+    double replay_done = 0.0;
+    {
+        sim::FaultInjector fi(sched);
+        obs::FlightRecorder fr;
+        runDrain(models::kRgatSource, 4, 24, 0.0, &fi, &fr);
+        for (std::uint64_t id : fr.requests()) {
+            for (const obs::FlightEvent &e : *fr.timeline(id)) {
+                if (e.what == "replay" && survivor < 0) {
+                    survivor = e.device;
+                    replay_start = e.tSec;
+                }
+                if (e.what == "completion" && e.device == survivor)
+                    replay_done = e.tSec;
+            }
+            if (survivor >= 0)
+                break;
+        }
+    }
+    ASSERT_GE(survivor, 0);
+    ASSERT_NE(survivor, late.device);
+    ASSERT_GT(replay_done, replay_start);
+    const double t_fail2 =
+        replay_start + 0.2 * (replay_done - replay_start);
+    sched.events.push_back(
+        {sim::FaultKind::DeviceFailure, survivor, t_fail2, 1});
+
+    for (int threads : {1, 4}) {
+        util::setGlobalThreads(threads);
+        sim::FaultInjector fi(sched);
+        obs::FlightRecorder fr;
+        const DrainRun run =
+            runDrain(models::kRgatSource, 4, 24, 0.0, &fi, &fr);
+
+        EXPECT_EQ(run.report.devicesFailed, 2);
+        EXPECT_TRUE(fi.isFailed(late.device));
+        EXPECT_TRUE(fi.isFailed(survivor));
+        EXPECT_EQ(run.report.requests, 24u);
+        expectAllServedBitIdentical(oracle, run);
+        EXPECT_LE(latest(eventsOn(fr, "completion", late.device)), late.tFail);
+        EXPECT_LE(latest(eventsOn(fr, "completion", survivor)), t_fail2);
+        EXPECT_TRUE(eventsOn(fr, "reroute", late.device).empty());
+        // Only the first failure's routing may target the survivor.
+        for (double t : eventsOn(fr, "reroute", survivor))
+            EXPECT_EQ(t, late.tFail);
+    }
+    util::setGlobalThreads(0);
+}
+
+// ------------------------------------------- drain trace + flight golden
+
+/**
+ * One sharded drain under a transient (device 0's first batch, caught
+ * by full duplication) and an ordinary mid-drain failure (the busiest
+ * device dies halfway between its first and last completion, while
+ * other devices are still serving), captured as text: the
+ * deterministic trace export, every request's flight timeline, and the
+ * injector's event log.
+ */
+std::string
+tracedDrainCapture()
+{
+    const char *source = models::kRgatSource;
+    // Calibrate the failure from the fault-free timeline.
+    obs::FlightRecorder clean;
+    runDrain(source, 4, 24, 1.0, nullptr, &clean);
+    int busiest = 0;
+    for (int d = 1; d < 4; ++d)
+        if (eventsOn(clean, "completion", d).size() >
+            eventsOn(clean, "completion", busiest).size())
+            busiest = d;
+    const std::vector<double> times = eventsOn(clean, "completion", busiest);
+    const double first = *std::min_element(times.begin(), times.end());
+    const double t_fail = first + 0.5 * (latest(times) - first);
+
+    sim::FaultSchedule sched;
+    sched.events.push_back(
+        {sim::FaultKind::TransientCorruption, 0, 0.0, 1});
+    sched.events.push_back(
+        {sim::FaultKind::DeviceFailure, busiest, t_fail, 1});
+    sim::FaultInjector fi(sched);
+    obs::FlightRecorder fr;
+    obs::setDeterministic(true);
+    obs::tracer().clear();
+    obs::setEnabled(true);
+    const DrainRun run = runDrain(source, 4, 24, 1.0, &fi, &fr);
+    obs::setEnabled(false);
+    std::string out = obs::tracer().exportJson();
+    obs::tracer().clear();
+
+    EXPECT_EQ(run.report.devicesFailed, 1);
+    EXPECT_EQ(run.report.transientsDetected, 1u);
+    EXPECT_GT(run.report.requestsReplayed, 1u);
+    expectAllServedBitIdentical(runDrain(source, 4, 24, 0.0, nullptr),
+                                run);
+    out += "\n";
+    for (std::uint64_t id : fr.requests())
+        out += fr.timelineJson(id) + "\n";
+    return out + fi.logText();
+}
+
+/** The drain's trace and flight output at 1 and 4 threads is
+ *  byte-identical to the checked-in capture. On a mismatch the actual
+ *  capture is written next to the test binary for diffing. */
+TEST(ShardedDrainTrace, MatchesGoldenCaptureAtOneAndFourThreads)
+{
+    const std::string path =
+        std::string(HECTOR_TEST_GOLDEN_DIR) + "/sharded_drain_trace.txt";
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << "missing golden " << path;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    for (int threads : {1, 4}) {
+        util::setGlobalThreads(threads);
+        const std::string actual = tracedDrainCapture();
+        if (actual != golden.str()) {
+            std::ofstream("sharded_drain_trace.actual.txt") << actual;
+            ADD_FAILURE() << "capture at " << threads
+                          << " threads differs from " << path
+                          << "; actual written to "
+                             "sharded_drain_trace.actual.txt";
+        }
+    }
+    util::setGlobalThreads(0);
 }
 
 } // namespace

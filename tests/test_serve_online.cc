@@ -133,7 +133,7 @@ TEST(AdaptiveBatcher, ReachesMaxBatchUnderSaturation)
     // are blown either way and throughput rules. A bounded-queue
     // batcher keeps its deadline cap instead — see
     // test_serve_overload.cc.
-    b.observe({8, 1e-3, 8e-3});
+    b.observe({8, 1e-3, 8e-3, {}});
     EXPECT_EQ(b.pick(8), 8u);
     EXPECT_EQ(b.pick(1000), 8u);
 }
@@ -153,7 +153,7 @@ TEST(AdaptiveBatcher, DeadlineBudgetCapsBatchSize)
     serve::AdaptiveBatcher b(8, 1e-3, 0.25, 0.5);
     // Expensive service: 0.1 ms overhead + 0.4 ms exec for 2 requests
     // (0.2 ms per request) -> budget after overhead fits exactly 2.
-    b.observe({2, 1e-4, 4e-4});
+    b.observe({2, 1e-4, 4e-4, {}});
     EXPECT_TRUE(b.calibrated());
     EXPECT_EQ(b.pick(5), 2u)
         << "cost model must cap the batch to the deadline budget";
@@ -161,14 +161,14 @@ TEST(AdaptiveBatcher, DeadlineBudgetCapsBatchSize)
 
     // Cheap service: the cap is far above the depth, so depth rules.
     serve::AdaptiveBatcher cheap(8, 1e-3, 0.25, 0.5);
-    cheap.observe({4, 1e-6, 4e-6});
+    cheap.observe({4, 1e-6, 4e-6, {}});
     EXPECT_EQ(cheap.pick(5), 5u);
 }
 
 TEST(AdaptiveBatcher, EwmaTracksObservedCosts)
 {
     serve::AdaptiveBatcher b(8, 0.0, 0.5);
-    b.observe({4, 2e-5, 4e-5}); // first observation seeds the EWMA
+    b.observe({4, 2e-5, 4e-5, {}}); // first observation seeds the EWMA
     EXPECT_DOUBLE_EQ(b.ewmaOverheadSec(), 2e-5);
     EXPECT_DOUBLE_EQ(b.ewmaExecPerRequestSec(), 1e-5);
 
@@ -176,7 +176,7 @@ TEST(AdaptiveBatcher, EwmaTracksObservedCosts)
     // without overshooting it.
     double prev = b.ewmaExecPerRequestSec();
     for (int i = 0; i < 10; ++i) {
-        b.observe({4, 4e-5, 8e-5});
+        b.observe({4, 4e-5, 8e-5, {}});
         EXPECT_GT(b.ewmaExecPerRequestSec(), prev);
         EXPECT_LE(b.ewmaExecPerRequestSec(), 2e-5);
         prev = b.ewmaExecPerRequestSec();

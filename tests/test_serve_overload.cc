@@ -214,7 +214,7 @@ TEST(AdaptiveBatcherBounded, KeepsDeadlineCapActiveAtSaturation)
     EXPECT_TRUE(bounded.boundedQueue());
 
     // 0.1 ms overhead + 0.2 ms/request: the 0.5 ms budget fits 2.
-    const serve::BatchCost cost{2, 1e-4, 4e-4};
+    const serve::BatchCost cost{2, 1e-4, 4e-4, {}};
     unbounded.observe(cost);
     bounded.observe(cost);
     EXPECT_EQ(unbounded.pick(1000), 8u);
@@ -375,7 +375,7 @@ TEST(WfqPolicy, SharesServiceByTenantWeight)
         ASSERT_TRUE(l == 0 || l == 1);
         ++served[l];
         policy->observe(static_cast<std::size_t>(l),
-                        serve::BatchCost{1, 1e-5, 1e-5});
+                        serve::BatchCost{1, 1e-5, 1e-5, {}});
     }
     EXPECT_EQ(served[0], 60u);
     EXPECT_EQ(served[1], 20u)
@@ -402,7 +402,7 @@ TEST(WfqPolicy, LowerTierPreemptsStrictly)
     for (int i = 0; i < 5; ++i) {
         EXPECT_EQ(policy->pickLane(views), 1)
             << "tier 0 must be served while it has queued work";
-        policy->observe(1, serve::BatchCost{1, 1e-5, 1e-5});
+        policy->observe(1, serve::BatchCost{1, 1e-5, 1e-5, {}});
     }
     views[1].queueDepth = 0;
     EXPECT_EQ(policy->pickLane(views), 0)
